@@ -3,47 +3,31 @@
 // buffer pool hits, policy compatibility, and end-to-end index updates.
 //
 // After the google-benchmark suite, two A/B cells always run:
-//  * "range-scan cell": the same window-query batch against a Bx-tree with
-//    the legacy per-interval root-descent scan (the pre-leaf-cursor
-//    behavior: fast path off, no interval coalescing) and with the
-//    LeafCursor fast path + default coalescing.
-//  * "pknn cell": the same PkNN batch against a PEB-tree with the legacy
-//    Figure-9 round path (fixed Dk/k step, cumulative single-span rings)
-//    and with the incremental path (cost-model-seeded radius, exact
-//    annulus deltas, qsv-run coalescing). Results must be bit-identical —
-//    the cell doubles as the equivalence oracle — and CI fails when the
-//    incremental speedup drops below 1.0.
-//  * "update interference cell": closed-loop PRQ latency while a paced
-//    update stream lands concurrently, direct apply vs log-structured
-//    delta ingest. Settled answers must be bit-identical, and CI fails
-//    when the delta side's query p99 stops beating direct apply or its
-//    merge lock-hold p99 exceeds direct's batch holds.
+//  * "telemetry overhead cell": the same PRQ batch through two identical
+//    4-shard engine services, instrumented vs telemetry disabled. CI fails
+//    when the overhead reaches 2%.
 //  * "reopen cell": cold ShardedPebEngine::Open() of a checkpointed file
 //    (superblock manifest + tree attach, no per-object work) vs a full
 //    in-memory rebuild of the same dataset. Answers must be bit-identical
 //    and CI fails when the cold open stops beating the rebuild.
-// `--json <path>` records the cells in BENCH_micro.json so the reductions
-// are part of the perf trajectory.
+// `--json <path>` records the cells in BENCH_micro.json so they are part
+// of the perf trajectory.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "btree/btree.h"
 #include "engine/sharded_engine.h"
-#include "peb/peb_tree.h"
 #include "btree/btree_traits.h"
 #include "bxtree/bxtree.h"
 #include "common/rng.h"
 #include "motion/uniform_generator.h"
-#include "motion/update_stream.h"
 #include "peb/peb_key.h"
 #include "policy/compatibility.h"
 #include "spatial/hilbert.h"
@@ -201,259 +185,6 @@ BENCHMARK(BM_BxTreeUpdate);
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// A/B range-scan cell: legacy per-interval descents vs LeafCursor fast path
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct ScanCellResult {
-  IoStats io;
-  double wall_ms = 0.0;
-  uint64_t probes = 0;
-  uint64_t descents = 0;
-  uint64_t leaf_hops = 0;
-  uint64_t candidates = 0;
-};
-
-ScanCellResult RunRangeScanCell(bool fast_path, uint64_t coalesce_gap,
-                                size_t num_objects, size_t num_queries) {
-  UniformGeneratorOptions gen;
-  gen.num_objects = num_objects;
-  gen.stagger_window = 120.0;
-  gen.seed = 42;
-  Dataset ds = GenerateUniformDataset(gen);
-
-  InMemoryDiskManager disk;
-  BufferPool pool(&disk, BufferPoolOptions{50});  // Paper's buffer budget.
-  MovingIndexOptions opt;
-  opt.leaf_cursor_fast_path = fast_path;
-  opt.zrange.coalesce_gap = coalesce_gap;
-  BxTree tree(&pool, opt);
-  for (const auto& o : ds.objects) (void)tree.Insert(o);
-
-  ScanCellResult r;
-  Rng rng(9);
-  Timestamp tq = 120.0;
-  pool.ResetStats();
-  auto t0 = std::chrono::steady_clock::now();
-  for (size_t q = 0; q < num_queries; ++q) {
-    Point center{rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0)};
-    Rect window = Rect::CenteredSquare(center, 200.0)
-                      .ClampedTo(Rect::Space(1000.0));
-    auto res = tree.RangeQuery(window, tq);
-    if (!res.ok()) continue;
-    r.probes += tree.last_query().range_probes;
-    r.descents += tree.last_query().seek_descents;
-    r.leaf_hops += tree.last_query().leaf_hops;
-    r.candidates += tree.last_query().candidates_examined;
-  }
-  auto t1 = std::chrono::steady_clock::now();
-  r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.io = pool.stats();
-  return r;
-}
-
-eval::Json ToJson(const ScanCellResult& r) {
-  return eval::Json::Object()
-      .Set("io", eval::ToJson(r.io))
-      .Set("wall_ms", r.wall_ms)
-      .Set("range_probes", r.probes)
-      .Set("seek_descents", r.descents)
-      .Set("leaf_hops", r.leaf_hops)
-      .Set("candidates_examined", r.candidates);
-}
-
-}  // namespace
-
-eval::Json RunAndReportScanCell() {
-  size_t num_objects = eval::Scaled(60000, 5000);
-  size_t num_queries = eval::Scaled(200, 20);
-  // "legacy" is the pre-PR baseline: one root descent per Z interval, no
-  // interval coalescing. "fastpath" is the current default configuration.
-  ScanCellResult legacy = RunRangeScanCell(false, 0, num_objects,
-                                           num_queries);
-  ScanCellResult fast = RunRangeScanCell(true, 3, num_objects, num_queries);
-
-  auto ratio = [](double a, double b) { return b > 0.0 ? a / b : 0.0; };
-  double fetch_ratio =
-      ratio(static_cast<double>(legacy.io.logical_fetches),
-            static_cast<double>(fast.io.logical_fetches));
-  double read_ratio = ratio(static_cast<double>(legacy.io.physical_reads),
-                            static_cast<double>(fast.io.physical_reads));
-  double speedup = ratio(legacy.wall_ms, fast.wall_ms);
-
-  std::cout << "\n--- range-scan cell (Bx window batch, " << num_objects
-            << " objects, " << num_queries << " queries) ---\n"
-            << "legacy   : " << legacy.io.logical_fetches << " fetches, "
-            << legacy.io.physical_reads << " reads, " << legacy.probes
-            << " probes, " << eval::Fmt(legacy.wall_ms) << " ms\n"
-            << "fastpath : " << fast.io.logical_fetches << " fetches, "
-            << fast.io.physical_reads << " reads, " << fast.probes
-            << " probes (" << fast.descents << " descents + "
-            << fast.leaf_hops << " hops), " << eval::Fmt(fast.wall_ms)
-            << " ms\n"
-            << "fetch ratio " << eval::Fmt(fetch_ratio) << "x, read ratio "
-            << eval::Fmt(read_ratio) << "x, speedup "
-            << eval::Fmt(speedup) << "x\n";
-
-  return eval::Json::Object()
-      .Set("num_objects", static_cast<uint64_t>(num_objects))
-      .Set("num_queries", static_cast<uint64_t>(num_queries))
-      .Set("window_side", 200.0)
-      .Set("buffer_pages", 50)
-      .Set("legacy", ToJson(legacy))
-      .Set("fastpath", ToJson(fast))
-      .Set("fetch_ratio", fetch_ratio)
-      .Set("read_ratio", read_ratio)
-      .Set("speedup", speedup);
-}
-
-// ---------------------------------------------------------------------------
-// A/B pknn cell: legacy Figure-9 rounds vs the incremental path
-// ---------------------------------------------------------------------------
-
-namespace {
-
-struct PknnCellResult {
-  IoStats io;
-  double wall_ms = 0.0;
-  uint64_t probes = 0;
-  uint64_t descents = 0;
-  uint64_t leaf_hops = 0;
-  uint64_t candidates = 0;
-  uint64_t rounds = 0;
-  std::vector<std::vector<Neighbor>> answers;
-};
-
-/// Runs the PkNN batch against a fresh PEB-tree (own 50-page pool) indexing
-/// the workload's dataset, with the incremental path on or off.
-PknnCellResult RunPknnCell(const eval::Workload& w,
-                           const std::vector<eval::PknnQuery>& queries,
-                           bool incremental) {
-  InMemoryDiskManager disk;
-  BufferPool pool(&disk, BufferPoolOptions{50});  // Paper's buffer budget.
-  PebTreeOptions opt = eval::PebOptionsFor(w.params());
-  opt.index.incremental_knn = incremental;
-  PebTree tree(&pool, opt, &w.store(), &w.roles(), &w.encoding());
-  for (const auto& o : w.dataset().objects) (void)tree.Insert(o);
-
-  PknnCellResult r;
-  r.answers.reserve(queries.size());
-  pool.ResetStats();
-  auto t0 = std::chrono::steady_clock::now();
-  for (const auto& q : queries) {
-    QueryStats stats;
-    auto res = tree.KnnQueryWithStats(q.issuer, q.qloc, q.k, q.tq, &stats);
-    if (!res.ok()) {
-      std::cerr << "pknn cell query failed: " << res.status().ToString()
-                << "\n";
-      std::abort();
-    }
-    r.probes += stats.counters.range_probes;
-    r.descents += stats.counters.seek_descents;
-    r.leaf_hops += stats.counters.leaf_hops;
-    r.candidates += stats.counters.candidates_examined;
-    r.rounds += stats.counters.rounds;
-    r.answers.push_back(std::move(*res));
-  }
-  auto t1 = std::chrono::steady_clock::now();
-  r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.io = pool.stats();
-  return r;
-}
-
-eval::Json ToJson(const PknnCellResult& r) {
-  return eval::Json::Object()
-      .Set("io", eval::ToJson(r.io))
-      .Set("wall_ms", r.wall_ms)
-      .Set("range_probes", r.probes)
-      .Set("seek_descents", r.descents)
-      .Set("leaf_hops", r.leaf_hops)
-      .Set("candidates_examined", r.candidates)
-      .Set("rounds", r.rounds);
-}
-
-}  // namespace
-
-eval::Json RunAndReportPknnCell() {
-  eval::WorkloadParams p;  // Table 1 defaults.
-  p.num_users = eval::Scaled(60000, 1000);
-  size_t num_queries = eval::Scaled(200, 20);
-  eval::Workload w = eval::Workload::Build(p);
-  eval::QuerySetOptions q;
-  q.count = num_queries;
-  auto queries = eval::MakePknnQueries(w, q);
-
-  PknnCellResult legacy = RunPknnCell(w, queries, /*incremental=*/false);
-  PknnCellResult inc = RunPknnCell(w, queries, /*incremental=*/true);
-
-  // The legacy round path is the equivalence oracle: the incremental path
-  // must produce bit-identical answers (same uids, same distances). Sort
-  // by (distance, uid) first — distances are continuous, so this only
-  // normalizes the order of exact ties, which the merges may permute.
-  auto normalized = [](std::vector<Neighbor> v) {
-    std::sort(v.begin(), v.end(), [](const Neighbor& a, const Neighbor& b) {
-      if (a.distance != b.distance) return a.distance < b.distance;
-      return a.uid < b.uid;
-    });
-    return v;
-  };
-  for (size_t i = 0; i < queries.size(); ++i) {
-    std::vector<Neighbor> want = normalized(legacy.answers[i]);
-    std::vector<Neighbor> got = normalized(inc.answers[i]);
-    if (want.size() != got.size()) {
-      std::cerr << "pknn cell mismatch at query " << i << ": "
-                << want.size() << " vs " << got.size() << " results\n";
-      std::abort();
-    }
-    for (size_t j = 0; j < want.size(); ++j) {
-      if (want[j].uid != got[j].uid ||
-          want[j].distance != got[j].distance) {
-        std::cerr << "pknn cell mismatch at query " << i << " rank " << j
-                  << "\n";
-        std::abort();
-      }
-    }
-  }
-
-  auto ratio = [](double a, double b) { return b > 0.0 ? a / b : 0.0; };
-  double fetch_ratio =
-      ratio(static_cast<double>(legacy.io.logical_fetches),
-            static_cast<double>(inc.io.logical_fetches));
-  double descent_ratio = ratio(static_cast<double>(legacy.descents),
-                               static_cast<double>(inc.descents));
-  double speedup = ratio(legacy.wall_ms, inc.wall_ms);
-  double nq = static_cast<double>(queries.size());
-
-  std::cout << "\n--- pknn cell (PEB PkNN batch, " << p.num_users
-            << " users, " << num_queries << " queries) ---\n"
-            << "legacy      : " << legacy.io.logical_fetches << " fetches, "
-            << legacy.io.physical_reads << " reads, " << legacy.probes
-            << " probes, " << legacy.descents << " descents, "
-            << eval::Fmt(static_cast<double>(legacy.rounds) / nq)
-            << " rounds/query, " << eval::Fmt(legacy.wall_ms) << " ms\n"
-            << "incremental : " << inc.io.logical_fetches << " fetches, "
-            << inc.io.physical_reads << " reads, " << inc.probes
-            << " probes, " << inc.descents << " descents, "
-            << eval::Fmt(static_cast<double>(inc.rounds) / nq)
-            << " rounds/query, " << eval::Fmt(inc.wall_ms) << " ms\n"
-            << "results bit-identical; fetch ratio " << eval::Fmt(fetch_ratio)
-            << "x, descent ratio " << eval::Fmt(descent_ratio)
-            << "x, speedup " << eval::Fmt(speedup) << "x\n";
-
-  return eval::Json::Object()
-      .Set("num_users", static_cast<uint64_t>(p.num_users))
-      .Set("num_queries", static_cast<uint64_t>(num_queries))
-      .Set("k", static_cast<uint64_t>(q.k))
-      .Set("buffer_pages", 50)
-      .Set("legacy", ToJson(legacy))
-      .Set("incremental", ToJson(inc))
-      .Set("fetch_ratio", fetch_ratio)
-      .Set("descent_ratio", descent_ratio)
-      .Set("speedup", speedup);
-}
-
-// ---------------------------------------------------------------------------
 // A/B telemetry-overhead cell: instrumented vs disabled service PRQ batch
 // ---------------------------------------------------------------------------
 
@@ -540,232 +271,6 @@ eval::Json RunAndReportTelemetryOverheadCell() {
       .Set("disabled_ms", best_off)
       .Set("instrumented_ms", best_on)
       .Set("overhead_pct", overhead_pct);
-}
-
-// ---------------------------------------------------------------------------
-// A/B update-interference cell: direct apply vs log-structured delta ingest
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Per-shard delta merge threshold of the cell's delta side. With 4 shards
-/// and 2048-event batches each shard buffers ~512 records per batch, so a
-/// merge fires roughly every 4th batch — most batches publish without any
-/// exclusive section at all, and every merge dedups to at most one tree
-/// update per user.
-constexpr size_t kInterferenceMergeThreshold = 2048;
-
-struct InterferenceSideResult {
-  telemetry::Histogram::Snapshot query_ms;      ///< Per-query wall latency.
-  telemetry::Histogram::Snapshot lock_hold_ms;  ///< Exclusive-section holds.
-  uint64_t queries = 0;
-  uint64_t batches_during_queries = 0;
-  /// Sorted PRQ answers after every batch is applied and the deltas are
-  /// merged — the cross-side equivalence oracle.
-  std::vector<std::vector<UserId>> settled_answers;
-};
-
-eval::Json ToJson(const InterferenceSideResult& r) {
-  return eval::Json::Object()
-      .Set("query_p50_ms", r.query_ms.p50)
-      .Set("query_p99_ms", r.query_ms.p99)
-      .Set("query_max_ms", r.query_ms.max)
-      .Set("queries", r.queries)
-      .Set("batches_during_queries", r.batches_during_queries)
-      .Set("lock_hold_count", r.lock_hold_ms.count)
-      .Set("lock_hold_p99_ms", r.lock_hold_ms.p99)
-      .Set("lock_hold_max_ms", r.lock_hold_ms.max);
-}
-
-/// One side of the interference A/B: a paced writer thread feeds every
-/// batch into the engine while the calling thread reruns the PRQ set
-/// closed-loop, timing each query, until the writer has drained the whole
-/// stream (at least `min_reps` passes, at most `max_reps`) — so the
-/// measurement window covers the full update schedule on both sides.
-/// Afterwards the deltas are settled, so both sides end in the same state
-/// and their answers can be compared bit-for-bit.
-InterferenceSideResult RunInterferenceSide(
-    const eval::Workload& w, bool delta_ingest,
-    const std::vector<std::vector<UpdateEvent>>& batches,
-    const std::vector<eval::PrqQuery>& queries, size_t min_reps,
-    size_t max_reps) {
-  telemetry::MetricsRegistry registry;  // Private: the cell stays self-contained.
-  engine::EngineOptions opts;
-  opts.num_shards = 4;
-  opts.num_threads = 0;  // Inline shard tasks: latency is the caller's own.
-  opts.buffer_pages = w.params().buffer_pages;
-  opts.tree = eval::PebOptionsFor(w.params());
-  opts.tree.index.delta_ingest = delta_ingest;
-  opts.delta.merge_threshold = kInterferenceMergeThreshold;
-  opts.telemetry.registry = &registry;
-  engine::ShardedPebEngine engine(opts, &w.store(), &w.roles(),
-                                  w.catalog().snapshot());
-  Status load = engine.LoadDataset(w.dataset());
-  if (!load.ok()) {
-    std::cerr << "interference cell load failed: " << load.ToString() << "\n";
-    std::abort();
-  }
-
-  std::atomic<bool> writer_done{false};
-  std::atomic<size_t> applied{0};
-  std::thread writer([&] {
-    for (const auto& batch : batches) {
-      Status st = engine.ApplyBatch(batch);
-      if (!st.ok()) {
-        std::cerr << "interference cell batch failed: " << st.ToString()
-                  << "\n";
-        std::abort();
-      }
-      applied.fetch_add(1, std::memory_order_relaxed);
-      // Paced, not saturating: the cell models a sustained update feed,
-      // not a bulk load — the interference under test is the engine-wide
-      // exclusive lock, not writer CPU.
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    writer_done.store(true, std::memory_order_relaxed);
-  });
-
-  telemetry::Histogram query_hist;
-  InterferenceSideResult r;
-  for (size_t rep = 0;
-       rep < max_reps &&
-       (rep < min_reps || !writer_done.load(std::memory_order_relaxed));
-       ++rep) {
-    for (const auto& q : queries) {
-      auto t0 = std::chrono::steady_clock::now();
-      auto res = engine.RangeQueryWithStats(q.issuer, q.range, q.tq,
-                                            /*stats=*/nullptr);
-      auto t1 = std::chrono::steady_clock::now();
-      if (!res.ok()) {
-        std::cerr << "interference cell query failed: "
-                  << res.status().ToString() << "\n";
-        std::abort();
-      }
-      query_hist.Record(
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-      ++r.queries;
-    }
-  }
-  r.batches_during_queries = applied.load(std::memory_order_relaxed);
-  writer.join();
-
-  r.query_ms = query_hist.Snap();
-  // Snapshot the exclusive-section holds before the settle below so the
-  // readout covers exactly the contended window. Direct apply observes
-  // per-shard batch holds into engine.batch.lock_hold_ms (which also
-  // carries the initial LoadDataset holds); delta ingest blocks queries
-  // only during merges, observed into engine.merge.lock_hold_ms.
-  r.lock_hold_ms = registry
-                       .histogram(delta_ingest ? "engine.merge.lock_hold_ms"
-                                               : "engine.batch.lock_hold_ms")
-                       ->Snap();
-
-  // Settle to the common final state (MergeDeltas is a no-op on direct).
-  Status settle = engine.MergeDeltas();
-  if (!settle.ok()) {
-    std::cerr << "interference cell settle failed: " << settle.ToString()
-              << "\n";
-    std::abort();
-  }
-
-  r.settled_answers.reserve(queries.size());
-  for (const auto& q : queries) {
-    auto res = engine.RangeQueryWithStats(q.issuer, q.range, q.tq,
-                                          /*stats=*/nullptr);
-    if (!res.ok()) {
-      std::cerr << "interference cell settled query failed: "
-                << res.status().ToString() << "\n";
-      std::abort();
-    }
-    std::vector<UserId> ans = std::move(*res);
-    std::sort(ans.begin(), ans.end());
-    r.settled_answers.push_back(std::move(ans));
-  }
-  return r;
-}
-
-}  // namespace
-
-/// Closed-loop PRQ latency while a paced update stream lands concurrently:
-/// the same batches and the same query set against a direct-apply engine
-/// (whole batches applied under the engine-wide exclusive lock) and a
-/// delta-ingest engine (watermark-published appends off the query path,
-/// bounded threshold merges). Both sides then apply every remaining batch
-/// and settle, and must answer bit-identically — the cell doubles as the
-/// concurrent equivalence oracle. CI gates on the delta side's query p99
-/// strictly beating direct apply and on its merge lock-hold p99 not
-/// exceeding direct's batch holds.
-eval::Json RunAndReportUpdateInterferenceCell() {
-  eval::WorkloadParams p;  // Table 1 defaults except population: a denser
-  p.num_users = eval::Scaled(4000, 500);  // update stream exercises dedup.
-  eval::Workload w = eval::Workload::Build(p);
-
-  constexpr size_t kBatchEvents = 2048;
-  size_t num_batches = eval::Scaled(160, 40);
-  auto stream = eval::CloneUniformUpdateStream(w);
-  std::vector<std::vector<UpdateEvent>> batches(num_batches);
-  for (auto& b : batches) {
-    b.reserve(kBatchEvents);
-    for (size_t i = 0; i < kBatchEvents; ++i) b.push_back(stream->Next());
-  }
-
-  eval::QuerySetOptions q;
-  q.count = eval::Scaled(200, 40);
-  q.seed = 123;
-  auto queries = eval::MakePrqQueries(w, q);
-  // The query loop reruns the set until the writer drains the stream, so
-  // both sides measure the full update schedule; the bounds only protect
-  // against degenerate scheduling.
-  constexpr size_t kMinReps = 2;
-  constexpr size_t kMaxReps = 2000;
-
-  InterferenceSideResult direct = RunInterferenceSide(
-      w, /*delta_ingest=*/false, batches, queries, kMinReps, kMaxReps);
-  InterferenceSideResult delta = RunInterferenceSide(
-      w, /*delta_ingest=*/true, batches, queries, kMinReps, kMaxReps);
-
-  // Both sides applied every batch and settled, so they hold identical
-  // object states: the delta path must answer bit-identically.
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (direct.settled_answers[i] != delta.settled_answers[i]) {
-      std::cerr << "interference cell mismatch at query " << i << ": "
-                << direct.settled_answers[i].size() << " vs "
-                << delta.settled_answers[i].size() << " results\n";
-      std::abort();
-    }
-  }
-
-  auto ratio = [](double a, double b) { return b > 0.0 ? a / b : 0.0; };
-  double p99_speedup = ratio(direct.query_ms.p99, delta.query_ms.p99);
-
-  std::cout << "\n--- update interference cell (" << p.num_users << " users, "
-            << num_batches << " x " << kBatchEvents << "-event batches, "
-            << queries.size() << "-PRQ closed loop) ---\n"
-            << "direct apply: query p50 " << eval::Fmt(direct.query_ms.p50, 3)
-            << " / p99 " << eval::Fmt(direct.query_ms.p99, 3) << " / max "
-            << eval::Fmt(direct.query_ms.max, 3) << " ms over "
-            << direct.queries << " queries, lock-hold p99 "
-            << eval::Fmt(direct.lock_hold_ms.p99, 3) << " ms ("
-            << direct.batches_during_queries << " batches landed)\n"
-            << "delta ingest: query p50 " << eval::Fmt(delta.query_ms.p50, 3)
-            << " / p99 " << eval::Fmt(delta.query_ms.p99, 3) << " / max "
-            << eval::Fmt(delta.query_ms.max, 3) << " ms over "
-            << delta.queries << " queries, lock-hold p99 "
-            << eval::Fmt(delta.lock_hold_ms.p99, 3) << " ms ("
-            << delta.batches_during_queries << " batches landed)\n"
-            << "settled answers bit-identical; query p99 speedup "
-            << eval::Fmt(p99_speedup) << "x\n";
-
-  return eval::Json::Object()
-      .Set("num_users", static_cast<uint64_t>(p.num_users))
-      .Set("batch_events", static_cast<uint64_t>(kBatchEvents))
-      .Set("num_batches", static_cast<uint64_t>(num_batches))
-      .Set("query_set", static_cast<uint64_t>(queries.size()))
-      .Set("merge_threshold",
-           static_cast<uint64_t>(kInterferenceMergeThreshold))
-      .Set("direct", ToJson(direct))
-      .Set("delta", ToJson(delta))
-      .Set("query_p99_speedup", p99_speedup);
 }
 
 // ---------------------------------------------------------------------------
@@ -908,21 +413,14 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&bargc, args.data());
   if (benchmark::ReportUnrecognizedArguments(bargc, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();
-  peb::eval::Json range_cell = peb::RunAndReportScanCell();
-  peb::eval::Json pknn_cell = peb::RunAndReportPknnCell();
   peb::eval::Json telemetry_cell = peb::RunAndReportTelemetryOverheadCell();
-  peb::eval::Json interference_cell =
-      peb::RunAndReportUpdateInterferenceCell();
   peb::eval::Json reopen_cell = peb::RunAndReportReopenCell();
   if (!json_path.empty()) {
     peb::eval::Json doc =
         peb::eval::Json::Object()
             .Set("bench", "micro")
             .Set("scale", peb::eval::BenchScale())
-            .Set("range_scan_cell", std::move(range_cell))
-            .Set("pknn_cell", std::move(pknn_cell))
             .Set("telemetry_overhead_cell", std::move(telemetry_cell))
-            .Set("update_interference_cell", std::move(interference_cell))
             .Set("reopen_cell", std::move(reopen_cell));
     if (doc.WriteTo(json_path)) {
       std::cout << "wrote " << json_path << "\n";

@@ -85,36 +85,6 @@ Result<MovingObject> BxTree::GetObject(UserId id) const {
   return it->second.state;
 }
 
-namespace {
-
-/// Consumes entries from an iterator-like positioned at the scan start
-/// until the key leaves [.., end_primary]. Shared by the LeafCursor fast
-/// path and the legacy per-interval-descent path.
-template <typename It>
-Status ConsumeBxEntries(It& it, uint64_t end_primary, Timestamp tq,
-                        const Rect* refine, std::vector<SpatialCandidate>* out,
-                        QueryCounters* counters) {
-  while (it.Valid()) {
-    CompositeKey key = it.key();
-    if (key.primary > end_primary) break;
-    ObjectRecord rec = it.value();
-    counters->candidates_examined++;
-    MovingObject obj;
-    obj.id = key.uid;
-    obj.pos = {rec.x, rec.y};
-    obj.vel = {rec.vx, rec.vy};
-    obj.tu = rec.tu;
-    Point pos = obj.PositionAt(tq);
-    if (refine == nullptr || refine->Contains(pos)) {
-      out->push_back({key.uid, pos, obj});
-    }
-    PEB_RETURN_NOT_OK(it.Next());
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status BxTree::ScanInterval(ObjectBTree::LeafCursor* cursor,
                             uint32_t partition, uint64_t zlo, uint64_t zhi,
                             Timestamp tq, const Rect* refine,
@@ -124,18 +94,28 @@ Status BxTree::ScanInterval(ObjectBTree::LeafCursor* cursor,
   uint64_t end_primary = layout.MakeKey(partition, zhi);
   counters_.range_probes++;
 
-  if (options_.leaf_cursor_fast_path && cursor != nullptr) {
-    size_t d0 = cursor->descents();
-    size_t h0 = cursor->chain_hops();
-    PEB_RETURN_NOT_OK(cursor->SeekGE(start));
-    counters_.seek_descents += cursor->descents() - d0;
-    counters_.leaf_hops += cursor->chain_hops() - h0;
-    return ConsumeBxEntries(*cursor, end_primary, tq, refine, out,
-                            &counters_);
+  size_t d0 = cursor->descents();
+  size_t h0 = cursor->chain_hops();
+  PEB_RETURN_NOT_OK(cursor->SeekGE(start));
+  counters_.seek_descents += cursor->descents() - d0;
+  counters_.leaf_hops += cursor->chain_hops() - h0;
+  while (cursor->Valid()) {
+    CompositeKey key = cursor->key();
+    if (key.primary > end_primary) break;
+    ObjectRecord rec = cursor->value();
+    counters_.candidates_examined++;
+    MovingObject obj;
+    obj.id = key.uid;
+    obj.pos = {rec.x, rec.y};
+    obj.vel = {rec.vx, rec.vy};
+    obj.tu = rec.tu;
+    Point pos = obj.PositionAt(tq);
+    if (refine == nullptr || refine->Contains(pos)) {
+      out->push_back({key.uid, pos, obj});
+    }
+    PEB_RETURN_NOT_OK(cursor->Next());
   }
-  counters_.seek_descents++;
-  PEB_ASSIGN_OR_RETURN(auto it, tree_.SeekGE(start));
-  return ConsumeBxEntries(it, end_primary, tq, refine, out, &counters_);
+  return Status::OK();
 }
 
 Result<std::vector<SpatialCandidate>> BxTree::RangeQuery(const Rect& range,

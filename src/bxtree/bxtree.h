@@ -42,25 +42,10 @@ struct MovingIndexOptions {
   /// intervals scans a few extra cells (discarded by query refinement, so
   /// answers are unchanged) but saves one key-range probe per merge.
   ZRangeOptions zrange{.max_intervals = 0, .coalesce_gap = 3};
-  /// Scan intervals with a persistent LeafCursor (one descent plus
-  /// sibling-link hops per batch of sorted probes) instead of one root
-  /// descent per interval. The legacy path is kept for the
-  /// result-equivalence tests and A/B benches.
-  bool leaf_cursor_fast_path = true;
   /// Let scans hint the buffer pool to stage the next sibling leaf. Off by
   /// default: prefetch reads perturb the physical-read counts the figure
   /// benches compare against the paper.
   bool prefetch_next_leaf = false;
-  /// Incremental PkNN fast path (PEB-tree only): the initial search radius
-  /// is seeded from the analytic cost model's candidate-density estimate
-  /// (doubling afterwards), each enlargement round scans only the exact
-  /// annulus delta (the round's Z decomposition minus every interval a
-  /// previous round already covered), and the sharded engine streams
-  /// per-shard scans instead of barriering each round. The legacy
-  /// Figure-9 path (fixed Dk/k step, cumulative single-span rings, global
-  /// per-round barrier) is kept behind this flag as the result-equivalence
-  /// oracle for tests and the A/B bench cell.
-  bool incremental_knn = true;
   /// Coalesce friend rows whose quantized SVs differ by at most this much
   /// into one SV-run key-range scan spanning the run's whole interval list
   /// (0 = per-row probing). Under the paper's grouping factor an issuer's
@@ -68,7 +53,7 @@ struct MovingIndexOptions {
   /// per-row probing multiplies seek descents; a run scan walks the run's
   /// sparse adjacent rows once instead (extra entries are discarded by the
   /// wanted-set filter, so answers are unchanged). Applies to PRQ
-  /// per-friend scans and incremental PkNN.
+  /// per-friend scans and PkNN (PEB-tree only).
   uint32_t qsv_run_gap = 1;
   /// Run the deep structural validators (ValidateInvariants) inside every
   /// exclusive batch section — ApplyBatch, LoadDataset, AdoptSnapshot —
@@ -76,17 +61,6 @@ struct MovingIndexOptions {
   /// Costs a full tree walk per batch (see README "Correctness tooling");
   /// off by default, on in the randomized-churn invariant tests.
   bool paranoid_checks = false;
-  /// Log-structured update ingestion (sharded engine only): updates append
-  /// to a per-shard in-memory delta (memtable) under a cheap per-shard
-  /// latch instead of applying to the B+-tree under the engine-wide
-  /// exclusive state lock, and every read path merges the delta with the
-  /// tree scan (delta entries shadow tree entries by object id, tombstones
-  /// suppress them). Deltas drain into the trees in bounded merges — on a
-  /// record-count threshold, an optional background thread, or explicit
-  /// MergeDeltas(). The direct-apply path is kept behind this flag as the
-  /// result-equivalence oracle for tests and the A/B interference bench
-  /// cell, per the leaf_cursor / incremental_knn pattern.
-  bool delta_ingest = true;
 };
 
 /// A candidate produced by the spatial search (pre-verification state).
@@ -154,7 +128,7 @@ class BxTree {
   /// Scans one 1-D interval of one partition, collecting entries whose
   /// extrapolated position at `tq` is inside `refine` (when non-null).
   /// `cursor` carries the scan position across the sorted probes of one
-  /// query (ignored on the legacy per-interval-descent path).
+  /// query: one root descent plus sibling-link hops per batch of probes.
   Status ScanInterval(ObjectBTree::LeafCursor* cursor, uint32_t partition,
                       uint64_t zlo, uint64_t zhi, Timestamp tq,
                       const Rect* refine, std::vector<SpatialCandidate>* out);

@@ -4,14 +4,12 @@
 // This is Section 7.9's update workload ("query cost while 25% chunks of
 // the dataset are updated") made concurrent: the applier pulls the next
 // `batch_size` events — already in global time order — and hands them to
-// ShardedPebEngine::ApplyBatch, which groups them by home shard and applies
-// every shard's group on its own worker thread. A user's updates stay
-// ordered (one user, one shard); only cross-shard ordering inside a batch
-// is relaxed, which no query can observe: on the direct-apply path the
-// engine's state lock makes every query atomic with respect to a whole
-// batch, and on the delta-ingest path the batch is published with a single
-// atomic watermark store — a query's pinned watermark sees all of the
-// batch or none of it (and queries never block on its application).
+// ShardedPebEngine::ApplyBatch, which appends each event to its home
+// shard's delta. A user's updates stay ordered (one user, one shard); only
+// cross-shard ordering inside a batch is relaxed, which no query can
+// observe: the batch is published with a single atomic watermark store —
+// a query's pinned watermark sees all of the batch or none of it (and
+// queries never block on its application).
 #pragma once
 
 #include <cstddef>
@@ -40,7 +38,7 @@ struct BatchApplierOptions {
 /// Thread-compatibility: the applier owns no lock. One thread drives it
 /// (the drain loop is inherently sequential — batches must leave the
 /// stream in time order); the concurrency lives inside
-/// ShardedPebEngine::ApplyBatch, which fans the batch out per shard under
+/// ShardedPebEngine::ApplyBatch, which appends to the shard deltas under
 /// its own annotated locks. Feeding one applier from two threads is a
 /// caller bug, not a data race this class defends against.
 class BatchUpdateApplier {

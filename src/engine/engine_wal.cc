@@ -25,11 +25,23 @@ Status Truncated(const char* what) {
   return Status::Corruption(std::string("truncated WAL payload: ") + what);
 }
 
+// Fixed encoded sizes of the counted records. A decoder checks a count read
+// from disk against the bytes left BEFORE reserving for it: the count is
+// untrusted, and reserve(count) on garbage would throw bad_alloc.
+constexpr size_t kEventBytes = 1 + 4 + 5 * 8;  // kind, id, pos, vel, tu.
+constexpr size_t kShardManifestBytes = 4 + 4 * 8;  // root, four stats.
+constexpr size_t kFreeListIdBytes = 4;
+
+bool CountFits(const std::string& in, size_t off, uint32_t count,
+               size_t record_bytes) {
+  return count <= (in.size() - off) / record_bytes;
+}
+
 }  // namespace
 
 std::string EncodeEvents(const std::vector<LoggedOp>& ops) {
   std::string out;
-  out.reserve(4 + ops.size() * 46);
+  out.reserve(4 + ops.size() * kEventBytes);
   Put<uint32_t>(&out, static_cast<uint32_t>(ops.size()));
   for (const LoggedOp& op : ops) {
     Put<uint8_t>(&out, op.kind);
@@ -47,6 +59,9 @@ Status DecodeEvents(const std::string& payload, std::vector<LoggedOp>* out) {
   size_t off = 0;
   uint32_t count = 0;
   if (!Get(payload, &off, &count)) return Truncated("event count");
+  if (!CountFits(payload, off, count, kEventBytes)) {
+    return Truncated("event count exceeds payload");
+  }
   out->clear();
   out->reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -121,6 +136,9 @@ Status DecodeManifest(const std::string& payload, EngineManifest* out) {
   if (!Get(payload, &off, &out->epoch) || !Get(payload, &off, &count)) {
     return Truncated("manifest header");
   }
+  if (!CountFits(payload, off, count, kShardManifestBytes)) {
+    return Truncated("shard count exceeds payload");
+  }
   out->shards.clear();
   out->shards.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
@@ -157,6 +175,9 @@ Status DecodeCheckpoint(const std::string& payload, CheckpointRecord* out) {
   if (!Get(payload, &off, &out->next_page) ||
       !Get(payload, &off, &free_count)) {
     return Truncated("checkpoint header");
+  }
+  if (!CountFits(payload, off, free_count, kFreeListIdBytes)) {
+    return Truncated("free-list count exceeds payload");
   }
   out->free_list.clear();
   out->free_list.reserve(free_count);

@@ -16,13 +16,12 @@
 // friends it hosts, on a fixed ThreadPool, so the total key-range probe
 // count matches the single-tree index while wall-clock drops with
 // parallelism. Per-shard candidate lists are merged into one result
-// (k-way merge by distance for PkNN). On the incremental PkNN path
-// (MovingIndexOptions::incremental_knn, the default) the engine runs ONE
-// streaming task per shard instead of a per-round barrier: each shard
-// publishes its anti-diagonal's candidates into a shared verified list as
-// soon as they exist, and a shard retires the moment its provably covered
-// radius reaches the global k-th candidate distance — its remaining
-// annuli (and final vertical scan) cannot improve the answer.
+// (merged by distance for PkNN). For PkNN the engine runs ONE streaming
+// task per shard, with no per-round barrier: each shard publishes its
+// anti-diagonal's candidates into a shared verified list as soon as they
+// exist, and a shard retires the moment its provably covered radius
+// reaches the global k-th candidate distance — its remaining annuli (and
+// final vertical scan) cannot improve the answer.
 //
 // Results are shard-count invariant: a user qualifies for a PRQ/PkNN answer
 // in exactly one shard (their home shard), so the merged result equals the
@@ -37,13 +36,12 @@
 // distinct shards never races. On top of
 // that, an engine-level reader-writer lock keeps every query's view
 // atomic: queries hold it shared, mutations that touch tree structure
-// (LoadDataset, AdoptSnapshot, delta merges — and Insert/Update/Delete/
-// ApplyBatch on the direct-apply path) hold it exclusive — so a query
-// fanned out over several lock acquisitions can never observe half an
-// update batch, while concurrent queries still proceed in parallel.
+// (LoadDataset, AdoptSnapshot, delta merges) hold it exclusive — so a
+// query fanned out over several lock acquisitions can never observe half
+// a merge, while concurrent queries still proceed in parallel.
 //
-// Log-structured ingestion (MovingIndexOptions::delta_ingest, the
-// default): updates never take the engine-wide exclusive lock at all.
+// Log-structured ingestion: updates (Insert/Update/Delete/ApplyBatch)
+// never take the engine-wide exclusive lock at all.
 // Writers serialize on a dedicated ingest mutex, append raw-state records
 // to the home shard's in-memory delta (engine/shard_delta.h) under that
 // shard's delta latch, and publish the batch by storing its seq into an
@@ -51,8 +49,9 @@
 // merge the delta with the tree scan: friends with a visible delta record
 // are lifted out of the per-shard tree candidate lists and evaluated
 // directly from their delta state through the SAME Definition-2 predicate
-// the tree scans use (PebTree::VerifyAgainst), so answers are bit-identical
-// to direct apply while queries never wait behind update application.
+// the tree scans use (PebTree::VerifyAgainst), so answers do not depend on
+// how much has been merged, and queries never wait behind update
+// application.
 // Deltas drain into the B+-trees in bounded merges — on a per-shard
 // record-count threshold at the end of an ingest call, from the optional
 // background merge thread, or explicitly via MergeDeltas() — under the
@@ -65,8 +64,9 @@
 // — which holds shard.mu across drain AND apply — can never show them the
 // window where a record left the delta but has not reached the tree), and
 // state_mu_ -> shard.mu -> delta.mu (merges, queries, validation). The
-// ingest path never takes state_mu_ in either mode's read paths' way:
-// queries only ever hold state_mu_ shared. Checkpoints additionally take
+// ingest path never takes state_mu_ itself (only through the merges it
+// triggers outside its ingest section); queries only ever hold state_mu_
+// shared. Checkpoints additionally take
 // state_mu_ -> ingest_mu_ (never the reverse: ingest calls MergeShards only
 // OUTSIDE its ingest section), freezing both mutation paths so the WAL
 // truncation at the end of a checkpoint cannot race a concurrent append.
@@ -138,7 +138,7 @@ struct EngineOptions {
   size_t pool_shards = 4;
   /// Per-shard PEB-tree configuration (shared by all shards).
   PebTreeOptions tree;
-  /// Log-structured ingestion tuning (active when tree.index.delta_ingest).
+  /// Log-structured ingestion tuning.
   struct DeltaIngestOptions {
     /// A shard whose delta reaches this many buffered records is merged at
     /// the end of the ingest call that crossed it. Bounds both merge
@@ -228,9 +228,8 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   /// path (PRQ shard counters go straight into the query's own slot via
   /// RangeQueryAmong's counters out-param, never through shared tree
   /// state). When `stats` carries a TraceBuilder, each shard task opens a
-  /// per-shard span (and, on the incremental PkNN path, one child span per
-  /// enlargement round) whose counters/IoStats deltas sum to the query's
-  /// own totals.
+  /// per-shard span (and, for PkNN, one child span per enlargement round)
+  /// whose counters/IoStats deltas sum to the query's own totals.
   Result<std::vector<UserId>> RangeQueryWithStats(UserId issuer,
                                                   const Rect& range,
                                                   Timestamp tq,
@@ -261,17 +260,13 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   /// Routes and inserts every object, loading shards in parallel.
   Status LoadDataset(const Dataset& dataset);
 
-  /// Applies a time-ordered update batch. Direct-apply mode: events are
-  /// grouped by home shard (preserving order within each group) and every
-  /// shard's group is applied on a worker thread under the exclusive state
-  /// lock. Delta-ingest mode: the whole batch is appended to the home
-  /// shards' deltas under the ingest lock and published atomically (one
-  /// seq per batch), so concurrent queries see all of it or none of it —
-  /// without the batch ever blocking them. Per-user ordering is preserved
-  /// in both modes because a user maps to exactly one shard. A batch
-  /// naming an id outside the policy encoding is rejected whole (the
-  /// direct path instead stops that user's shard group at the bad event;
-  /// error batches are excluded from the equivalence contract).
+  /// Applies a time-ordered update batch: the whole batch is appended to
+  /// the home shards' deltas under the ingest lock and published
+  /// atomically (one seq per batch), so concurrent queries see all of it or
+  /// none of it — without the batch ever blocking them. Per-user ordering
+  /// is preserved because a user maps to exactly one shard. A batch naming
+  /// an id outside the policy encoding is rejected whole, before anything
+  /// is published.
   Status ApplyBatch(const std::vector<UpdateEvent>& events);
 
   // --- durability -----------------------------------------------------------
@@ -307,12 +302,11 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
 
   // --- delta ingestion ------------------------------------------------------
   /// Drains every non-empty shard delta into its tree (one exclusive
-  /// section). No-op in direct-apply mode. Benches and tests call this to
-  /// settle the engine before comparing against a direct-apply oracle;
-  /// the service layer calls it on shutdown-like barriers.
+  /// section). Benches and tests call this to settle the engine; the
+  /// service layer calls it on shutdown-like barriers.
   Status MergeDeltas() EXCLUDES(state_mu_);
 
-  /// Aggregate delta-ingestion state (zeros in direct-apply mode).
+  /// Aggregate delta-ingestion state.
   struct DeltaStats {
     size_t buffered_records = 0;   ///< Currently buffered across shards.
     size_t max_shard_records = 0;  ///< Largest single shard's buffer.
@@ -323,14 +317,8 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   };
   DeltaStats delta_stats() const;
 
-  /// Whether updates go through the per-shard deltas (the configured
-  /// MovingIndexOptions::delta_ingest, honored only by the engine).
-  bool delta_ingest_enabled() const { return delta_on_; }
-
   /// Buffered delta records of shard i (tests/benches).
-  size_t shard_delta_records(size_t i) const {
-    return delta_on_ ? deltas_[i]->records() : 0;
-  }
+  size_t shard_delta_records(size_t i) const { return deltas_[i]->records(); }
 
   // --- introspection --------------------------------------------------------
   const EngineOptions& options() const { return options_; }
@@ -420,7 +408,8 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   bool PresentInShard(size_t idx, UserId id) const REQUIRES(ingest_mu_);
 
   /// Appends one single-object mutation (Insert/Update/Delete) to the home
-  /// shard's delta with direct-path status parity, then publishes it.
+  /// shard's delta with a single tree's status codes, then publishes it.
+  /// Ids outside the encoding are rejected before routing.
   Status IngestOne(const MovingObject& state, bool tombstone,
                    bool require_absent, bool require_present)
       EXCLUDES(ingest_mu_);
@@ -528,9 +517,7 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   /// mutexes (the dispatching thread holds this lock for them).
   mutable SharedMutex state_mu_;
 
-  // --- log-structured ingestion state (delta_on_ only) ----------------------
-  /// tree.index.delta_ingest, cached (options_ is const after construction).
-  bool delta_on_ = false;
+  // --- log-structured ingestion state ---------------------------------------
   /// One delta per shard, indexed like shards_. Each has its own latch.
   std::vector<std::unique_ptr<ShardDelta>> deltas_;
   /// Serializes WRITERS only (seq assignment, presence probes, batch
@@ -546,8 +533,7 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   std::atomic<uint64_t> delta_merged_records_{0};
   std::atomic<uint64_t> delta_backpressure_merges_{0};
 
-  /// Background merge thread (started when delta ingestion is on and
-  /// background_merge_period_ms > 0).
+  /// Background merge thread (started when background_merge_period_ms > 0).
   std::thread merger_;
   mutable Mutex merger_mu_;
   std::condition_variable_any merger_cv_;
@@ -563,9 +549,7 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   telemetry::Counter* pknn_rounds_ = nullptr;
   telemetry::Counter* pknn_retirements_ = nullptr;
   telemetry::Histogram* batch_lock_hold_ms_ = nullptr;
-  /// Delta instruments, registered only when delta ingestion is on (an
-  /// instrument that CANNOT move must not read zero forever — the CI
-  /// telemetry gate fails on dead instruments).
+  /// Delta instruments.
   telemetry::Counter* delta_appends_ = nullptr;
   telemetry::Counter* delta_probes_ = nullptr;
   telemetry::Counter* delta_shadowed_ = nullptr;

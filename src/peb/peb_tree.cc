@@ -257,42 +257,6 @@ bool PebTree::Verify(UserId issuer, const SpatialCandidate& cand,
                        cand.uid, cand.pos, tq);
 }
 
-namespace {
-
-/// Consumes entries from an iterator-like positioned at the scan start
-/// until the key leaves [.., end_primary] — or until `*remaining` hits
-/// zero, after which no further wanted user can appear. Shared by the
-/// LeafCursor fast path and the legacy per-interval-descent path.
-template <typename It>
-Status ConsumePebEntries(It& it, uint64_t end_primary,
-                         const std::unordered_set<UserId>* wanted,
-                         std::unordered_set<UserId>* found, size_t* remaining,
-                         std::vector<SpatialCandidate>* out, Timestamp tq,
-                         QueryCounters* counters) {
-  while (it.Valid()) {
-    CompositeKey key = it.key();
-    if (key.primary > end_primary) break;
-    counters->candidates_examined++;
-    UserId uid = key.uid;
-    if ((wanted == nullptr || wanted->contains(uid)) &&
-        !found->contains(uid)) {
-      found->insert(uid);
-      ObjectRecord rec = it.value();
-      MovingObject obj;
-      obj.id = uid;
-      obj.pos = {rec.x, rec.y};
-      obj.vel = {rec.vx, rec.vy};
-      obj.tu = rec.tu;
-      out->push_back({uid, obj.PositionAt(tq), obj});
-      if (remaining != nullptr && --*remaining == 0) break;
-    }
-    PEB_RETURN_NOT_OK(it.Next());
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status PebTree::ScanKeyRange(ObjectBTree::LeafCursor* cursor,
                              CompositeKey start, uint64_t end_primary,
                              const std::unordered_set<UserId>* wanted,
@@ -301,19 +265,33 @@ Status PebTree::ScanKeyRange(ObjectBTree::LeafCursor* cursor,
                              std::vector<SpatialCandidate>* out, Timestamp tq,
                              QueryCounters* counters) const {
   counters->range_probes++;
-  if (options_.index.leaf_cursor_fast_path && cursor != nullptr) {
-    size_t d0 = cursor->descents();
-    size_t h0 = cursor->chain_hops();
-    PEB_RETURN_NOT_OK(cursor->SeekGE(start));
-    counters->seek_descents += cursor->descents() - d0;
-    counters->leaf_hops += cursor->chain_hops() - h0;
-    return ConsumePebEntries(*cursor, end_primary, wanted, found, remaining,
-                             out, tq, counters);
+  size_t d0 = cursor->descents();
+  size_t h0 = cursor->chain_hops();
+  PEB_RETURN_NOT_OK(cursor->SeekGE(start));
+  counters->seek_descents += cursor->descents() - d0;
+  counters->leaf_hops += cursor->chain_hops() - h0;
+  // Consume until the key leaves [.., end_primary] — or until `*remaining`
+  // hits zero, after which no further wanted user can appear.
+  while (cursor->Valid()) {
+    CompositeKey key = cursor->key();
+    if (key.primary > end_primary) break;
+    counters->candidates_examined++;
+    UserId uid = key.uid;
+    if ((wanted == nullptr || wanted->contains(uid)) &&
+        !found->contains(uid)) {
+      found->insert(uid);
+      ObjectRecord rec = cursor->value();
+      MovingObject obj;
+      obj.id = uid;
+      obj.pos = {rec.x, rec.y};
+      obj.vel = {rec.vx, rec.vy};
+      obj.tu = rec.tu;
+      out->push_back({uid, obj.PositionAt(tq), obj});
+      if (remaining != nullptr && --*remaining == 0) break;
+    }
+    PEB_RETURN_NOT_OK(cursor->Next());
   }
-  counters->seek_descents++;
-  PEB_ASSIGN_OR_RETURN(auto it, tree_.SeekGE(start));
-  return ConsumePebEntries(it, end_primary, wanted, found, remaining, out, tq,
-                           counters);
+  return Status::OK();
 }
 
 Status PebTree::ScanSvRun(ObjectBTree::LeafCursor* cursor, uint32_t partition,
@@ -494,7 +472,7 @@ Result<std::vector<UserId>> PebTree::RangeQuerySpan(
       // sequence value between the issuer's smallest and largest friend.
       // Note the spans of consecutive intervals interleave in key space
       // (each covers every SV between min and max), so the cursor mostly
-      // re-descends here; the fast path still saves the within-span walk.
+      // re-descends here; it still saves the within-span walk.
       PEB_RETURN_NOT_OK(ScanKeyRange(
           &cursor, CompositeKey::Min(layout_.MakeKey(partition, sv_min, iv.lo)),
           layout_.MakeKey(partition, sv_max, iv.hi), &wanted, &found,
@@ -517,16 +495,6 @@ Result<std::vector<UserId>> PebTree::RangeQuerySpan(
 // ---------------------------------------------------------------------------
 // PkNN
 // ---------------------------------------------------------------------------
-
-double EstimateKnnDistanceFor(size_t n, size_t k, double space_side) {
-  // Delegates to the analytic cost model's closed form (Section 5.4).
-  return ExpectedKnnDistance(static_cast<double>(n == 0 ? 1 : n), k,
-                             space_side);
-}
-
-double PebTree::EstimateKnnDistance(size_t k) const {
-  return EstimateKnnDistanceFor(size(), k, options_.index.space_side);
-}
 
 double KnnSeedRadiusFor(size_t num_candidates, size_t indexed,
                         size_t population, size_t k, double space_side) {
@@ -572,7 +540,7 @@ Result<std::vector<Neighbor>> PebTree::KnnQueryWithStats(UserId issuer,
   return result;
 }
 
-// --- KnnScan: the incremental per-tree search primitive --------------------
+// --- KnnScan: the per-tree PkNN search primitive ---------------------------
 
 PebTree::KnnScan::KnnScan(const PebTree* tree, UserId issuer, Point qloc,
                           Timestamp tq, double rq,
@@ -583,11 +551,8 @@ PebTree::KnnScan::KnnScan(const PebTree* tree, UserId issuer, Point qloc,
       qloc_(qloc),
       tq_(tq),
       rq_(rq),
-      incremental_(tree->options_.index.incremental_knn),
       shared_(shared),
-      runs_(BuildRuns(friends, incremental_
-                                   ? tree->options_.index.qsv_run_gap
-                                   : 0)) {
+      runs_(BuildRuns(friends, tree->options_.index.qsv_run_gap)) {
   for (const SvRun& run : runs_) total_wanted_ += run.remaining;
   double space_diag = tree_->options_.index.space_side * std::numbers::sqrt2;
   while (RadiusForRound(max_rounds_ - 1) < space_diag) max_rounds_++;
@@ -602,16 +567,11 @@ PebTree::KnnScan::KnnScan(const PebTree* tree, UserId issuer, Point qloc,
     labels_.push_back({label, opts.partitions.PartitionOf(label),
                        opts.max_speed * std::abs(tq - tlab)});
   }
-  if (incremental_) {
-    rings_.resize(labels_.size());
-  } else {
-    spans_.resize(labels_.size());
-  }
+  rings_.resize(labels_.size());
 }
 
 double PebTree::KnnScan::RadiusForRound(size_t j) const {
-  return incremental_ ? KnnSeededRadiusForRound(rq_, j)
-                      : KnnRadiusForRound(rq_, j);
+  return KnnSeededRadiusForRound(rq_, j);
 }
 
 double PebTree::KnnScan::CoveredRadiusAfterDiagonal(size_t d) const {
@@ -623,40 +583,6 @@ double PebTree::KnnScan::CoveredRadiusAfterDiagonal(size_t d) const {
                                                         max_rounds_ - 1)));
   }
   return covered;
-}
-
-// Per-label, per-round single Z span (Section 5.4 uses one interval per
-// round: the min/max of the round's decomposed 1-D values). Spans are
-// cumulative, so the same (label, round) value is valid for every shard of
-// a fanned-out query and is shared through the cache.
-CurveInterval PebTree::KnnScan::SpanFor(size_t li, size_t j) {
-  auto& memo = spans_[li];
-  while (memo.size() <= j) {
-    size_t round = memo.size();
-    auto compute = [&]() -> CurveInterval {
-      Rect rect =
-          Rect::CenteredSquare(qloc_, 2.0 * KnnRadiusForRound(rq_, round));
-      auto intervals =
-          ZIntervalsForWindow(tree_->grid_, rect.Expanded(labels_[li].enlarge),
-                              tree_->options_.index.zrange);
-      if (intervals.empty()) {
-        // Degenerate; cover nothing yet (outer rounds will grow).
-        return {memo.empty() ? 1 : memo.back().lo,
-                memo.empty() ? 0 : memo.back().hi};
-      }
-      uint64_t lo = intervals.front().lo;
-      uint64_t hi = intervals.back().hi;
-      if (!memo.empty()) {
-        lo = std::min(lo, memo.back().lo);
-        hi = std::max(hi, memo.back().hi);
-      }
-      return {lo, hi};
-    };
-    memo.push_back(shared_ == nullptr
-                       ? compute()
-                       : shared_->KnnSpan(labels_[li].label, round, compute));
-  }
-  return memo[j];
 }
 
 const SharedScanCache::RingEntry& PebTree::KnnScan::RingFor(size_t li,
@@ -709,74 +635,43 @@ Status PebTree::KnnScan::ScanCell(size_t i, size_t j,
   if (RowDone(i)) return Status::OK();
   SvRun& run = runs_[i];
   for (size_t li = 0; li < labels_.size(); ++li) {
-    const uint32_t partition = labels_[li].partition;
-    if (incremental_) {
-      // Exact annulus delta: scan only the intervals new to round j. The
-      // persistent cursor carries its leaf position across rounds, so a
-      // later round never re-fetches leaves an earlier round examined.
-      const SharedScanCache::RingEntry& ring = RingFor(li, j);
-      if (ring.ring->empty()) continue;
-      batch_.clear();
-      if (run.qsv_lo != run.qsv_hi) {
-        // Coalesced SV run: one scan bounding the whole ring replaces a
-        // probe per (row, interval) — per-interval probing would re-read
-        // the run's sparse row extents once per interval.
-        PEB_RETURN_NOT_OK(tree_->ScanSvRun(&cursor_, partition, run.qsv_lo,
-                                           run.qsv_hi, ring.ring->front().lo,
-                                           ring.ring->back().hi, &run.wanted,
-                                           &found_, &run.remaining, &batch_,
-                                           tq_, &counters_));
-      } else {
-        for (const CurveInterval& iv : *ring.ring) {
-          PEB_RETURN_NOT_OK(tree_->ScanSvRun(&cursor_, partition, run.qsv_lo,
-                                             run.qsv_hi, iv.lo, iv.hi,
-                                             &run.wanted, &found_,
-                                             &run.remaining, &batch_, tq_,
-                                             &counters_));
-          if (run.remaining == 0) break;
-        }
-      }
-      InsertVerified(verified);
-      if (run.remaining == 0) break;
-      continue;
-    }
-    CurveInterval cur = SpanFor(li, j);
-    if (cur.lo > cur.hi) continue;
-    batch_.clear();
-    const uint32_t qsv = run.qsv_lo;  // Legacy runs are single rows.
-    if (j == 0) {
-      PEB_RETURN_NOT_OK(tree_->ScanSvRun(&cursor_, partition, qsv, qsv,
-                                         cur.lo, cur.hi, &run.wanted,
-                                         &found_, &run.remaining, &batch_,
-                                         tq_, &counters_));
-    } else {
-      // Scan only the ring new to round j.
-      CurveInterval prev = SpanFor(li, j - 1);
-      if (prev.lo > prev.hi) {
-        PEB_RETURN_NOT_OK(tree_->ScanSvRun(&cursor_, partition, qsv, qsv,
-                                           cur.lo, cur.hi, &run.wanted,
-                                           &found_, &run.remaining, &batch_,
-                                           tq_, &counters_));
-      } else {
-        if (cur.lo < prev.lo) {
-          PEB_RETURN_NOT_OK(tree_->ScanSvRun(&cursor_, partition, qsv, qsv,
-                                             cur.lo, prev.lo - 1,
-                                             &run.wanted, &found_,
-                                             &run.remaining, &batch_, tq_,
-                                             &counters_));
-        }
-        if (cur.hi > prev.hi) {
-          PEB_RETURN_NOT_OK(tree_->ScanSvRun(&cursor_, partition, qsv, qsv,
-                                             prev.hi + 1, cur.hi,
-                                             &run.wanted, &found_,
-                                             &run.remaining, &batch_, tq_,
-                                             &counters_));
-        }
-      }
-    }
-    InsertVerified(verified);
+    // Exact annulus delta: scan only the intervals new to round j. The
+    // persistent cursor carries its leaf position across rounds, so a
+    // later round never re-fetches leaves an earlier round examined.
+    const SharedScanCache::RingEntry& ring = RingFor(li, j);
+    if (ring.ring->empty()) continue;
+    PEB_RETURN_NOT_OK(ScanRunIntervals(run, labels_[li].partition, *ring.ring,
+                                       verified));
+    if (run.remaining == 0) break;
   }
   run.rounds_done = std::max(run.rounds_done, j + 1);
+  return Status::OK();
+}
+
+Status PebTree::KnnScan::ScanRunIntervals(
+    SvRun& run, uint32_t partition,
+    const std::vector<CurveInterval>& intervals,
+    std::vector<Neighbor>* verified) {
+  batch_.clear();
+  if (run.qsv_lo != run.qsv_hi) {
+    // Coalesced SV run: one scan bounding every interval replaces a probe
+    // per (row, interval) — per-interval probing would re-read the run's
+    // sparse row extents once per interval.
+    PEB_RETURN_NOT_OK(tree_->ScanSvRun(&cursor_, partition, run.qsv_lo,
+                                       run.qsv_hi, intervals.front().lo,
+                                       intervals.back().hi, &run.wanted,
+                                       &found_, &run.remaining, &batch_, tq_,
+                                       &counters_));
+  } else {
+    for (const CurveInterval& iv : intervals) {
+      PEB_RETURN_NOT_OK(tree_->ScanSvRun(&cursor_, partition, run.qsv_lo,
+                                         run.qsv_hi, iv.lo, iv.hi,
+                                         &run.wanted, &found_, &run.remaining,
+                                         &batch_, tq_, &counters_));
+      if (run.remaining == 0) break;
+    }
+  }
+  InsertVerified(verified);
   return Status::OK();
 }
 
@@ -796,73 +691,32 @@ Status PebTree::KnnScan::VerticalScan(double dk,
                                       std::vector<Neighbor>* verified) {
   Rect rect = Rect::CenteredSquare(qloc_, 2.0 * dk);
   for (size_t li = 0; li < labels_.size(); ++li) {
-    if (incremental_) {
-      // Scan only the part of the vertical window this run has NOT already
-      // covered during its enlargement rounds — usually nothing, since dk
-      // is bounded by the last scanned radius.
-      auto compute = [&]() -> std::vector<CurveInterval> {
-        return ZIntervalsForWindow(tree_->grid_,
-                                   rect.Expanded(labels_[li].enlarge),
-                                   tree_->options_.index.zrange);
-      };
-      SharedScanCache::IntervalsPtr vert =
-          shared_ == nullptr
-              ? std::make_shared<const std::vector<CurveInterval>>(compute())
-              : shared_->VerticalIntervals(labels_[li].label, compute);
-      if (vert->empty()) continue;
-      for (size_t i = 0; i < runs_.size(); ++i) {
-        if (RowDone(i)) continue;
-        SvRun& run = runs_[i];
-        std::vector<CurveInterval> local;
-        const std::vector<CurveInterval>* delta = vert.get();
-        if (run.rounds_done > 0) {
-          local = SubtractIntervals(
-              *vert, *RingFor(li, run.rounds_done - 1).covered);
-          delta = &local;
-        }
-        if (delta->empty()) continue;
-        batch_.clear();
-        if (run.qsv_lo != run.qsv_hi) {
-          PEB_RETURN_NOT_OK(tree_->ScanSvRun(&cursor_, labels_[li].partition,
-                                             run.qsv_lo, run.qsv_hi,
-                                             delta->front().lo,
-                                             delta->back().hi, &run.wanted,
-                                             &found_, &run.remaining,
-                                             &batch_, tq_, &counters_));
-        } else {
-          for (const CurveInterval& iv : *delta) {
-            PEB_RETURN_NOT_OK(tree_->ScanSvRun(
-                &cursor_, labels_[li].partition, run.qsv_lo, run.qsv_hi,
-                iv.lo, iv.hi, &run.wanted, &found_, &run.remaining, &batch_,
-                tq_, &counters_));
-            if (run.remaining == 0) break;
-          }
-        }
-        InsertVerified(verified);
-      }
-      continue;
-    }
-    auto compute = [&]() -> CurveInterval {
-      auto intervals =
-          ZIntervalsForWindow(tree_->grid_, rect.Expanded(labels_[li].enlarge),
-                              tree_->options_.index.zrange);
-      if (intervals.empty()) return {1, 0};
-      return {intervals.front().lo, intervals.back().hi};
+    // Scan only the part of the vertical window each run has NOT already
+    // covered during its enlargement rounds — usually nothing, since dk is
+    // bounded by the last scanned radius.
+    auto compute = [&]() -> std::vector<CurveInterval> {
+      return ZIntervalsForWindow(tree_->grid_,
+                                 rect.Expanded(labels_[li].enlarge),
+                                 tree_->options_.index.zrange);
     };
-    CurveInterval span =
-        shared_ == nullptr ? compute()
-                           : shared_->VerticalSpan(labels_[li].label, compute);
-    if (span.lo > span.hi) continue;
+    SharedScanCache::IntervalsPtr vert =
+        shared_ == nullptr
+            ? std::make_shared<const std::vector<CurveInterval>>(compute())
+            : shared_->VerticalIntervals(labels_[li].label, compute);
+    if (vert->empty()) continue;
     for (size_t i = 0; i < runs_.size(); ++i) {
       if (RowDone(i)) continue;
       SvRun& run = runs_[i];
-      batch_.clear();
-      PEB_RETURN_NOT_OK(tree_->ScanSvRun(&cursor_, labels_[li].partition,
-                                         run.qsv_lo, run.qsv_hi, span.lo,
-                                         span.hi, &run.wanted, &found_,
-                                         &run.remaining, &batch_, tq_,
-                                         &counters_));
-      InsertVerified(verified);
+      std::vector<CurveInterval> local;
+      const std::vector<CurveInterval>* delta = vert.get();
+      if (run.rounds_done > 0) {
+        local = SubtractIntervals(*vert,
+                                  *RingFor(li, run.rounds_done - 1).covered);
+        delta = &local;
+      }
+      if (delta->empty()) continue;
+      PEB_RETURN_NOT_OK(
+          ScanRunIntervals(run, labels_[li].partition, *delta, verified));
     }
   }
   return Status::OK();
@@ -883,15 +737,12 @@ Result<std::vector<Neighbor>> PebTree::KnnQueryAmong(
     QueryCounters* counters) const {
   if (counters != nullptr) *counters = QueryCounters{};
   std::vector<Neighbor> verified;
-  if (k == 0) return verified;  // Among-path legacy tolerance; the public
-                                // KnnQuery rejects k == 0 uniformly.
-  // Incremental path: the round-0 radius comes from the cost model's
-  // candidate-density estimate (most queries close without enlarging).
-  // Legacy path: the paper-literal Dk/k per-round step.
-  double rq = options_.index.incremental_knn
-                  ? KnnSeedRadius(friends.size(), k)
-                  : EstimateKnnDistance(k) / static_cast<double>(k);
-  KnnScan scan(this, issuer, qloc, tq, rq, friends, nullptr);
+  if (k == 0) return verified;  // Among-path tolerance; the public KnnQuery
+                                // rejects k == 0 uniformly.
+  // The round-0 radius comes from the cost model's candidate-density
+  // estimate (most queries close without enlarging).
+  KnnScan scan(this, issuer, qloc, tq, KnnSeedRadius(friends.size(), k),
+               friends, nullptr);
   size_t m = scan.num_rows();
   if (m == 0) return verified;
   size_t max_rounds = scan.max_rounds();

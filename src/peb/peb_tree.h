@@ -9,22 +9,21 @@
 //    key ranges [TID ⊕ SV ⊕ ZVs, TID ⊕ SV ⊕ ZVe] are scanned. Once a
 //    user's record is located, the remaining intervals for that SV are
 //    skipped (a user has one location).
-//  * PkNN (Section 5.4 / Figures 8-10): iterative range enlargement with
-//    estimated initial radius Dk/k; the (friend x round) search matrix is
-//    traversed in triangular (anti-diagonal) order; each round searches
-//    only the ring new to that round; after k candidates are verified, a
-//    final vertical scan bounded by the distance to the current k-th
-//    candidate closes the search.
+//  * PkNN (Section 5.4 / Figures 8-10): iterative range enlargement; the
+//    (friend x round) search matrix is traversed in triangular
+//    (anti-diagonal) order; each round searches only the ring new to that
+//    round; after k candidates are verified, a final vertical scan bounded
+//    by the distance to the current k-th candidate closes the search.
 //
-// The default PkNN path (MovingIndexOptions::incremental_knn) sharpens
-// Figure 9 in three ways: the round-0 radius is seeded from the cost
-// model's candidate-density Dk (costmodel EstimateKnnSeedRadius) so a
-// typical query closes in 1-2 rounds; each later round scans only the
-// EXACT annulus delta (the round's Z decomposition minus every interval a
-// previous round covered, via ZRingForWindow) instead of the cumulative
-// bounding span; and adjacent quantized-SV friend rows coalesce into
-// single SV-run scans. The paper-literal path is kept behind the flag as
-// the result-equivalence oracle.
+// The PkNN search sharpens Figure 9 in three ways: the round-0 radius is
+// seeded from the cost model's candidate-density Dk (costmodel
+// EstimateKnnSeedRadius) instead of the population's Dk/k, doubling
+// afterwards, so a typical query closes in 1-2 rounds; each later round
+// scans only the EXACT annulus delta (the round's Z decomposition minus
+// every interval a previous round covered, via ZRingForWindow) instead of
+// a cumulative bounding span; and adjacent quantized-SV friend rows
+// coalesce into single SV-run scans. Answers are checked against the
+// Definition 3 brute-force oracle in the tests.
 #pragma once
 
 #include <cstdint>
@@ -76,11 +75,7 @@ struct PebTreeOptions {
   double time_domain = kDefaultTimeDomain;
 };
 
-/// The Dk estimate of Section 5.4 for a population of `n` users, scaled to
-/// the space side (the initial PkNN radius is Dk/k).
-double EstimateKnnDistanceFor(size_t n, size_t k, double space_side);
-
-/// The incremental PkNN seed radius for `num_candidates` friends of which
+/// The PkNN seed radius for `num_candidates` friends of which
 /// only the indexed fraction (`indexed` of `population`) can qualify —
 /// the ONE formula both the single tree and the engine seed from, so all
 /// shards of a fanned-out query enlarge identically.
@@ -101,7 +96,6 @@ double KnnSeedRadiusFor(size_t num_candidates, size_t indexed,
 class SharedScanCache {
  public:
   using ComputeIntervals = std::function<std::vector<CurveInterval>()>;
-  using ComputeSpan = std::function<CurveInterval()>;
   using IntervalsPtr = std::shared_ptr<const std::vector<CurveInterval>>;
 
   /// PRQ: the enlarged window's Z intervals for a label. Returned by
@@ -119,21 +113,7 @@ class SharedScanCache {
     return prq_.try_emplace(label, std::move(value)).first->second;
   }
 
-  /// PkNN: the cumulative ring span for (label, round). Legacy round path.
-  CurveInterval KnnSpan(int64_t label, size_t round,
-                        const ComputeSpan& compute) {
-    auto key = std::make_pair(label, round);
-    {
-      MutexLock lock(&mu_);
-      auto it = knn_.find(key);
-      if (it != knn_.end()) return it->second;
-    }
-    CurveInterval value = compute();
-    MutexLock lock(&mu_);
-    return knn_.try_emplace(key, value).first->second;
-  }
-
-  /// Incremental PkNN: one round's exact annulus delta for (label, round) —
+  /// PkNN: one round's exact annulus delta for (label, round) —
   /// the intervals new to the round plus the cumulative covered set the
   /// NEXT round subtracts. Both are deterministic functions of the query
   /// and the label, so every shard of a fanned-out query shares one copy.
@@ -155,20 +135,8 @@ class SharedScanCache {
     return rings_.try_emplace(key, std::move(value)).first->second;
   }
 
-  /// PkNN: the final vertical-scan span for a label. Legacy round path.
-  CurveInterval VerticalSpan(int64_t label, const ComputeSpan& compute) {
-    {
-      MutexLock lock(&mu_);
-      auto it = vertical_.find(label);
-      if (it != vertical_.end()) return it->second;
-    }
-    CurveInterval value = compute();
-    MutexLock lock(&mu_);
-    return vertical_.try_emplace(label, value).first->second;
-  }
-
-  /// Incremental PkNN: the final vertical window's full decomposition for a
-  /// label (each scan subtracts its own covered set from it).
+  /// PkNN: the final vertical window's full decomposition for a label
+  /// (each scan subtracts its own covered set from it).
   IntervalsPtr VerticalIntervals(int64_t label,
                                  const ComputeIntervals& compute) {
     {
@@ -186,9 +154,7 @@ class SharedScanCache {
  private:
   Mutex mu_;
   std::unordered_map<int64_t, IntervalsPtr> prq_ GUARDED_BY(mu_);
-  std::map<std::pair<int64_t, size_t>, CurveInterval> knn_ GUARDED_BY(mu_);
   std::map<std::pair<int64_t, size_t>, RingEntry> rings_ GUARDED_BY(mu_);
-  std::unordered_map<int64_t, CurveInterval> vertical_ GUARDED_BY(mu_);
   std::unordered_map<int64_t, IntervalsPtr> vertical_intervals_
       GUARDED_BY(mu_);
 };
@@ -224,8 +190,8 @@ class PebTree final : public PrivacyAwareIndex {
     uint32_t qsv_hi = 0;
     std::unordered_set<UserId> wanted;
     size_t remaining = 0;
-    /// Contiguously completed enlargement rounds (incremental PkNN only;
-    /// the final vertical scan subtracts the covered set of this round).
+    /// Contiguously completed PkNN enlargement rounds (the final vertical
+    /// scan subtracts the covered set of this round).
     size_t rounds_done = 0;
   };
 
@@ -292,7 +258,7 @@ class PebTree final : public PrivacyAwareIndex {
       const std::vector<FriendEntry>& friends,
       QueryCounters* counters = nullptr) const;
 
-  /// Incremental PkNN scan state over this tree — the engine's per-shard
+  /// PkNN scan state over this tree — the engine's per-shard
   /// primitive. The engine drives the Figure-9 search matrix round by
   /// round across every shard (so enlargement stops as soon as k verified
   /// candidates exist globally), while each shard scans only the cells of
@@ -318,9 +284,8 @@ class PebTree final : public PrivacyAwareIndex {
     /// True once every wanted user has been located.
     bool AllFound() const { return found_.size() >= total_wanted_; }
 
-    /// Radius of enlargement round `j` under this scan's schedule
-    /// (cost-model-seeded doubling on the incremental path, the legacy
-    /// linear-then-doubling Dk/k schedule otherwise).
+    /// Radius of enlargement round `j`: the cost-model-seeded round-0
+    /// radius, doubling per round (KnnSeededRadiusForRound).
     double RadiusForRound(size_t j) const;
 
     /// The largest radius around the query point this scan has PROVABLY
@@ -335,11 +300,11 @@ class PebTree final : public PrivacyAwareIndex {
 
     /// Scans matrix cell (run i, round j): the ring new to round j for the
     /// run's SV range, in every live partition. Policy-verified candidates
-    /// are inserted into *verified, kept ascending by distance. On the
-    /// incremental path the ring is the exact annulus delta — the round's
-    /// Z decomposition minus every interval already covered — and the
-    /// persistent LeafCursor carries the position across rounds, so a
-    /// round never re-fetches leaves a previous round examined.
+    /// are inserted into *verified, kept ascending by distance. The ring is
+    /// the exact annulus delta — the round's Z decomposition minus every
+    /// interval already covered — and the persistent LeafCursor carries the
+    /// position across rounds, so a round never re-fetches leaves a
+    /// previous round examined.
     Status ScanCell(size_t i, size_t j, std::vector<Neighbor>* verified);
 
     /// Scans every cell of anti-diagonal d (cells (i, d-i)).
@@ -347,9 +312,9 @@ class PebTree final : public PrivacyAwareIndex {
 
     /// Section 5.4's final step: scans the square of half-side dk around
     /// the query point for every run with unfound users, ruling out closer
-    /// unexamined candidates. After this the verified list is exact. On
-    /// the incremental path only the DELTA against the run's covered
-    /// intervals is fetched (often nothing).
+    /// unexamined candidates. After this the verified list is exact. Only
+    /// the DELTA against the run's covered intervals is fetched (often
+    /// nothing).
     Status VerticalScan(double dk, std::vector<Neighbor>* verified);
 
    private:
@@ -365,29 +330,29 @@ class PebTree final : public PrivacyAwareIndex {
             double rq, const std::vector<FriendEntry>& friends,
             SharedScanCache* shared);
 
-    /// Cumulative ring span for (label li, round j), memoized per label and
-    /// deduplicated across shards via the shared cache. Legacy path.
-    CurveInterval SpanFor(size_t li, size_t j);
-    /// Exact annulus delta for (label li, round j); incremental path.
+    /// Exact annulus delta for (label li, round j), memoized per label and
+    /// deduplicated across shards via the shared cache.
     const SharedScanCache::RingEntry& RingFor(size_t li, size_t j);
+    /// Scans `intervals` (ascending, non-empty) of one partition for run
+    /// `run` — one SV-run scan when the run coalesces several rows, else
+    /// one probe per interval — and verifies the located candidates.
+    Status ScanRunIntervals(SvRun& run, uint32_t partition,
+                            const std::vector<CurveInterval>& intervals,
+                            std::vector<Neighbor>* verified);
     void InsertVerified(std::vector<Neighbor>* verified);
 
     const PebTree* tree_;
     UserId issuer_;
     Point qloc_;
     Timestamp tq_;
-    /// Incremental path: the cost-model-seeded round-0 radius. Legacy
-    /// path: the per-round enlargement step (Dk/k).
+    /// The cost-model-seeded round-0 radius.
     double rq_;
-    bool incremental_ = false;
     SharedScanCache* shared_;
     std::vector<SvRun> runs_;
     size_t total_wanted_ = 0;
     size_t max_rounds_ = 1;
     std::vector<LabelInfo> labels_;
-    /// Legacy path: cumulative single-span rings per (label, round).
-    std::vector<std::vector<CurveInterval>> spans_;
-    /// Incremental path: exact annulus deltas per (label, round).
+    /// Exact annulus deltas per (label, round).
     std::vector<std::vector<SharedScanCache::RingEntry>> rings_;
     std::unordered_set<UserId> found_;
     std::vector<SpatialCandidate> batch_;
@@ -397,18 +362,16 @@ class PebTree final : public PrivacyAwareIndex {
     QueryCounters counters_;
   };
 
-  /// Starts an incremental PkNN scan. On the incremental path `rq` is the
-  /// cost-model-seeded round-0 radius; on the legacy path it is the
-  /// per-round enlargement step (Dk/k). The engine derives either from
-  /// GLOBAL workload state so all shards enlarge identically. The scan
-  /// accumulates work counters of its own (KnnScan::counters()); the
-  /// tree's last_query() is not touched.
+  /// Starts a PkNN scan. `rq` is the cost-model-seeded round-0 radius; the
+  /// engine derives it from GLOBAL workload state (KnnSeedRadiusFor) so
+  /// all shards enlarge identically. The scan accumulates work counters of
+  /// its own (KnnScan::counters()); the tree's last_query() is not touched.
   KnnScan NewKnnScan(UserId issuer, const Point& qloc, Timestamp tq,
                      double rq, const std::vector<FriendEntry>& friends,
                      SharedScanCache* shared = nullptr) const;
 
-  /// The seed radius the incremental PkNN path starts from (cost model's
-  /// candidate-density Dk; see costmodel::EstimateKnnSeedRadius).
+  /// The seed radius PkNN starts from (cost model's candidate-density Dk;
+  /// see costmodel::EstimateKnnSeedRadius).
   double KnnSeedRadius(size_t num_candidates, size_t k) const;
 
   const PebTreeOptions& options() const { return options_; }
@@ -419,9 +382,6 @@ class PebTree final : public PrivacyAwareIndex {
 
   /// Current stored state of a user.
   Result<MovingObject> GetObject(UserId id) const override;
-
-  /// Dk estimate (Section 5.4), scaled to the space side.
-  double EstimateKnnDistance(size_t k) const;
 
   /// Snapshot of the out-of-page state needed to reopen this index later.
   /// Flush the buffer pool before persisting the manifest.
@@ -445,9 +405,9 @@ class PebTree final : public PrivacyAwareIndex {
   /// Definition 2's verification predicate, shared between the tree's scan
   /// paths (Verify) and the sharded engine's delta overlay: a candidate
   /// located OUTSIDE the tree (in a shard's ingestion delta) must pass
-  /// exactly the check a tree-scanned candidate passes, or delta-ingest
-  /// answers would diverge from the direct-apply oracle. `pos` is the
-  /// candidate's position extrapolated to `tq`.
+  /// exactly the check a tree-scanned candidate passes, or answers would
+  /// depend on whether a user's latest state has been merged yet. `pos` is
+  /// the candidate's position extrapolated to `tq`.
   static bool VerifyAgainst(const PolicyStore& store, const RoleRegistry& roles,
                             double time_domain, UserId issuer, UserId uid,
                             const Point& pos, Timestamp tq);
@@ -472,7 +432,7 @@ class PebTree final : public PrivacyAwareIndex {
 
   /// Groups a friend list (ascending by (qsv, uid)) into SV runs: rows
   /// whose quantized SVs differ by at most `gap` coalesce into one run
-  /// (gap 0 = one run per distinct qsv, the legacy per-row layout).
+  /// (gap 0 = one run per distinct qsv).
   static std::vector<SvRun> BuildRuns(const std::vector<FriendEntry>& friends,
                                       uint32_t gap);
 
@@ -480,9 +440,9 @@ class PebTree final : public PrivacyAwareIndex {
   /// is in `wanted`, marks it found, appends its state, and decrements
   /// `*remaining` (when given) — stopping the scan the moment it hits
   /// zero, since no further wanted user can appear. `cursor` carries the
-  /// position across the sorted probes of one query; the legacy
-  /// per-interval-descent path (leaf_cursor_fast_path off) ignores it and
-  /// re-descends from the root. Work is accounted into `counters` (the
+  /// position across the sorted probes of one query, so a probe landing in
+  /// the current or a resident sibling leaf skips the root descent. Work is
+  /// accounted into `counters` (the
   /// caller's QueryStats slot for whole-query entry points, a KnnScan's own
   /// for fanned-out scans — never shared between concurrent queries).
   Status ScanKeyRange(ObjectBTree::LeafCursor* cursor, CompositeKey start,

@@ -603,5 +603,49 @@ TEST_F(CrashRecoveryTest, OpenRejectsBadConfigurations) {
   EXPECT_TRUE(mem.Checkpoint().IsInvalidArgument());
 }
 
+// ---------------------------------------------------------------------------
+// Untrusted record counts in WAL payloads
+// ---------------------------------------------------------------------------
+
+// WAL and superblock bytes are untrusted: a count read from them must be
+// checked against the payload before anything is reserved for it, so a
+// garbage count yields Corruption — never std::bad_alloc.
+
+TEST(EngineWalDecode, EventCountBeyondPayloadIsCorruption) {
+  std::vector<engine_wal::LoggedOp> ops;
+  EXPECT_TRUE(engine_wal::DecodeEvents(std::string(4, '\xff'), &ops)
+                  .IsCorruption());
+  // A payload holding one event but claiming two.
+  std::string payload = engine_wal::EncodeEvents({engine_wal::LoggedOp{}});
+  payload[0] = 2;
+  EXPECT_TRUE(engine_wal::DecodeEvents(payload, &ops).IsCorruption());
+  payload[0] = 1;
+  ASSERT_TRUE(engine_wal::DecodeEvents(payload, &ops).ok());
+  EXPECT_EQ(ops.size(), 1u);
+}
+
+TEST(EngineWalDecode, ManifestShardCountBeyondPayloadIsCorruption) {
+  engine_wal::EngineManifest manifest;
+  std::string payload(8, '\0');   // Epoch.
+  payload += std::string(4, '\xff');  // Shard count.
+  EXPECT_TRUE(engine_wal::DecodeManifest(payload, &manifest).IsCorruption());
+  manifest.shards.resize(2);
+  payload = engine_wal::EncodeManifest(manifest);
+  ASSERT_TRUE(engine_wal::DecodeManifest(payload, &manifest).ok());
+  EXPECT_EQ(manifest.shards.size(), 2u);
+}
+
+TEST(EngineWalDecode, CheckpointFreeListCountBeyondPayloadIsCorruption) {
+  engine_wal::CheckpointRecord record;
+  std::string payload(4, '\0');   // Next page.
+  payload += std::string(4, '\xff');  // Free-list count.
+  EXPECT_TRUE(engine_wal::DecodeCheckpoint(payload, &record).IsCorruption());
+  record.free_list = {3, 5};
+  record.manifest = "m";
+  payload = engine_wal::EncodeCheckpoint(record);
+  ASSERT_TRUE(engine_wal::DecodeCheckpoint(payload, &record).ok());
+  EXPECT_EQ(record.free_list, (std::vector<PageId>{3, 5}));
+}
+
 }  // namespace
 }  // namespace peb

@@ -1,10 +1,12 @@
-// Log-structured ingestion tests: with delta_ingest on, every response —
-// PRQ, PkNN, GetObject, size, continuous-query results and event streams —
-// must be bit-identical to a direct-apply engine replayed at the same
-// update prefix, across shard counts, under randomized interleavings of
-// update batches, joins/leaves, queries, and explicit merges. A concurrent
-// smoke (background merge thread + writers + readers) runs under the TSan
-// CI job.
+// Log-structured ingestion tests: every response of the delta-ingesting
+// engine — PRQ, PkNN, GetObject, size, continuous-query results and event
+// streams — must equal the reference state after the same operations, across
+// shard counts and router policies, under randomized interleavings of update
+// batches, joins/leaves, queries, and explicit merges. The reference is a
+// mirror Dataset of the live objects (answered by the Definition 2/3
+// brute-force oracles) plus a plain PebTree fed the same operations (for
+// the continuous-query monitor). A concurrent smoke (background merge thread
+// + writers + readers) runs under the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,18 +14,23 @@
 #include <chrono>
 #include <memory>
 #include <random>
+#include <string>
 #include <thread>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/sharded_engine.h"
 #include "eval/runner.h"
 #include "eval/workload.h"
 #include "peb/continuous.h"
+#include "test_util.h"
 
 namespace peb {
 namespace {
 
 using engine::EngineOptions;
+using engine::RouterPolicy;
 using engine::ShardedPebEngine;
 using eval::CloneUniformUpdateStream;
 using eval::MakePknnQueries;
@@ -32,18 +39,15 @@ using eval::QuerySetOptions;
 using eval::Workload;
 using eval::WorkloadParams;
 
-std::unique_ptr<ShardedPebEngine> MakeModeEngine(Workload& w, size_t shards,
-                                                 bool delta_ingest,
-                                                 size_t merge_threshold,
-                                                 size_t hard_cap = 0,
-                                                 size_t background_ms = 0,
-                                                 bool paranoid = true) {
+std::unique_ptr<ShardedPebEngine> MakeDeltaEngine(
+    Workload& w, size_t shards, RouterPolicy router, size_t merge_threshold,
+    size_t hard_cap = 0, size_t background_ms = 0, bool paranoid = true) {
   EngineOptions opts;
   opts.num_shards = shards;
   opts.num_threads = shards == 1 ? 0 : 4;
+  opts.router = router;
   opts.buffer_pages = w.params().buffer_pages;
   opts.tree = eval::PebOptionsFor(w.params());
-  opts.tree.index.delta_ingest = delta_ingest;
   opts.tree.index.paranoid_checks = paranoid;
   opts.delta.merge_threshold = merge_threshold;
   opts.delta.hard_cap = hard_cap;
@@ -54,52 +58,98 @@ std::unique_ptr<ShardedPebEngine> MakeModeEngine(Workload& w, size_t shards,
   return engine;
 }
 
-std::vector<Neighbor> Normalized(std::vector<Neighbor> v) {
-  std::sort(v.begin(), v.end(), [](const Neighbor& a, const Neighbor& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.uid < b.uid;
-  });
-  return v;
-}
+/// The live objects the engine must expose: a Dataset the brute-force
+/// oracles scan, with an id index for membership.
+class Mirror {
+ public:
+  explicit Mirror(const Dataset& initial) : ds_(initial) {
+    for (size_t i = 0; i < ds_.objects.size(); ++i) {
+      at_[ds_.objects[i].id] = i;
+    }
+  }
 
-/// Every query answer of `got` (delta-ingest) bit-identical to `want`
-/// (direct-apply oracle) at the same update prefix.
-void ExpectSameAnswers(Workload& w, ShardedPebEngine& got,
-                       ShardedPebEngine& want, uint64_t query_seed,
-                       const char* context) {
+  const Dataset& dataset() const { return ds_; }
+  size_t size() const { return ds_.objects.size(); }
+  bool Contains(UserId id) const { return at_.contains(id); }
+  const MovingObject& Get(UserId id) const { return ds_.objects[at_.at(id)]; }
+
+  void Upsert(const MovingObject& o) {
+    auto it = at_.find(o.id);
+    if (it != at_.end()) {
+      ds_.objects[it->second] = o;
+      return;
+    }
+    at_[o.id] = ds_.objects.size();
+    ds_.objects.push_back(o);
+  }
+
+  void Remove(UserId id) {
+    const size_t i = at_.at(id);
+    at_.erase(id);
+    if (i + 1 != ds_.objects.size()) {
+      ds_.objects[i] = ds_.objects.back();
+      at_[ds_.objects[i].id] = i;
+    }
+    ds_.objects.pop_back();
+  }
+
+ private:
+  Dataset ds_;
+  std::unordered_map<UserId, size_t> at_;
+};
+
+/// Every PRQ/PkNN answer of `engine` equal to the brute-force oracles over
+/// the mirror's live objects.
+void ExpectMatchesMirror(Workload& w, ShardedPebEngine& engine,
+                         const Mirror& mirror, uint64_t query_seed,
+                         const std::string& context) {
+  const double td = w.params().time_domain;
   QuerySetOptions q;
   q.count = 10;
   q.window_side = 250.0;
   q.seed = query_seed;
   for (const auto& prq : MakePrqQueries(w, q)) {
-    auto a = got.RangeQuery(prq.issuer, prq.range, prq.tq);
-    auto b = want.RangeQuery(prq.issuer, prq.range, prq.tq);
-    ASSERT_TRUE(a.ok() && b.ok()) << context;
-    EXPECT_EQ(*a, *b) << context;
+    auto got = engine.RangeQuery(prq.issuer, prq.range, prq.tq);
+    ASSERT_TRUE(got.ok()) << context;
+    EXPECT_EQ(*got, testing::BruteForcePrq(mirror.dataset(), w.store(),
+                                           w.roles(), prq.issuer, prq.range,
+                                           prq.tq, td))
+        << context;
   }
   for (const auto& knn : MakePknnQueries(w, q)) {
-    auto a = got.KnnQuery(knn.issuer, knn.qloc, knn.k, knn.tq);
-    auto b = want.KnnQuery(knn.issuer, knn.qloc, knn.k, knn.tq);
-    ASSERT_TRUE(a.ok() && b.ok()) << context;
-    std::vector<Neighbor> an = Normalized(*a);
-    std::vector<Neighbor> bn = Normalized(*b);
-    ASSERT_EQ(an.size(), bn.size()) << context;
-    for (size_t r = 0; r < an.size(); ++r) {
-      EXPECT_EQ(an[r].uid, bn[r].uid) << context << " rank " << r;
-      EXPECT_DOUBLE_EQ(an[r].distance, bn[r].distance)
-          << context << " rank " << r;
-    }
+    auto got = engine.KnnQuery(knn.issuer, knn.qloc, knn.k, knn.tq);
+    ASSERT_TRUE(got.ok()) << context;
+    testing::ExpectSamePknn(
+        testing::BruteForcePknn(mirror.dataset(), w.store(), w.roles(),
+                                knn.issuer, knn.qloc, knn.k, knn.tq, td),
+        *got, context);
+  }
+  EXPECT_EQ(engine.size(), mirror.size()) << context;
+}
+
+/// An id the probes below use: mostly a real user, sometimes one outside
+/// the policy encoding (just past it, or far past it), which must be
+/// rejected before routing.
+UserId ProbeId(std::mt19937& rng, size_t num_users) {
+  switch (rng() % 8) {
+    case 0:
+      return static_cast<UserId>(num_users + rng() % 16);
+    case 1:
+      return UserId{4000000000u};
+    default:
+      return static_cast<UserId>(rng() % num_users);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Randomized interleaving vs the direct-apply oracle
+// Randomized interleaving vs the mirror
 // ---------------------------------------------------------------------------
 
-class DeltaIngestOracleTest : public ::testing::TestWithParam<size_t> {};
+class DeltaIngestOracleTest
+    : public ::testing::TestWithParam<std::tuple<size_t, RouterPolicy>> {};
 
-TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesDirectApply) {
-  const size_t shards = GetParam();
+TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesMirror) {
+  const auto [shards, router] = GetParam();
   WorkloadParams wp;
   wp.num_users = 500;
   wp.policies_per_user = 10;
@@ -110,52 +160,76 @@ TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesDirectApply) {
 
   // Small merge threshold so the interleaving crosses many merge points;
   // paranoid_checks audits delta/tree agreement inside every one of them.
-  auto delta = MakeModeEngine(w, shards, /*delta_ingest=*/true,
-                              /*merge_threshold=*/48);
-  auto direct = MakeModeEngine(w, shards, /*delta_ingest=*/false,
-                               /*merge_threshold=*/48);
-  ASSERT_TRUE(delta->delta_ingest_enabled());
-  ASSERT_FALSE(direct->delta_ingest_enabled());
+  auto engine = MakeDeltaEngine(w, shards, router, /*merge_threshold=*/48);
+  Mirror mirror(w.dataset());
 
-  // One deterministic event sequence, applied to both engines.
+  // The continuous-query reference: a plain PEB-tree (one update path) fed
+  // the same operations, watched by its own monitor.
+  InMemoryDiskManager ref_disk;
+  BufferPool ref_pool(&ref_disk, BufferPoolOptions{wp.buffer_pages});
+  PebTree ref_tree(&ref_pool, eval::PebOptionsFor(w.params()), &w.store(),
+                   &w.roles(), w.catalog()->snapshot());
+  for (const MovingObject& o : w.dataset().objects) {
+    ASSERT_TRUE(ref_tree.Insert(o).ok());
+  }
+
+  // One deterministic event sequence, applied to the engine, the mirror and
+  // the reference tree.
   auto stream = CloneUniformUpdateStream(w);
   ASSERT_NE(stream, nullptr);
 
-  // Continuous queries over each engine, fed identically in stream order.
-  ContinuousQueryMonitor mon_delta(delta.get(), &w.store(), &w.roles(),
-                                   w.catalog()->snapshot());
-  ContinuousQueryMonitor mon_direct(direct.get(), &w.store(), &w.roles(),
+  // Continuous queries over the engine and the reference tree, fed
+  // identically in stream order.
+  ContinuousQueryMonitor mon_engine(engine.get(), &w.store(), &w.roles(),
                                     w.catalog()->snapshot());
+  ContinuousQueryMonitor mon_ref(&ref_tree, &w.store(), &w.roles(),
+                                 w.catalog()->snapshot());
   Timestamp now = w.params().delta_t_mu;
-  std::vector<ContinuousQueryId> cq_delta;
-  std::vector<ContinuousQueryId> cq_direct;
+  std::vector<ContinuousQueryId> cq_engine;
+  std::vector<ContinuousQueryId> cq_ref;
   {
     QuerySetOptions q;
     q.count = 5;
     q.window_side = 300.0;
     q.seed = 4242;
     for (const auto& prq : MakePrqQueries(w, q)) {
-      auto a = mon_delta.Register(prq.issuer, prq.range, now);
-      auto b = mon_direct.Register(prq.issuer, prq.range, now);
+      auto a = mon_engine.Register(prq.issuer, prq.range, now);
+      auto b = mon_ref.Register(prq.issuer, prq.range, now);
       ASSERT_TRUE(a.ok() && b.ok());
-      cq_delta.push_back(*a);
-      cq_direct.push_back(*b);
+      cq_engine.push_back(*a);
+      cq_ref.push_back(*b);
     }
-    // Seeding runs through each engine's PRQ: identical already.
-    EXPECT_EQ(mon_delta.TakeEvents(), mon_direct.TakeEvents());
+    EXPECT_EQ(mon_engine.TakeEvents(), mon_ref.TakeEvents());
   }
 
+  const std::string tag = std::to_string(shards) + " shards, router " +
+                          std::to_string(static_cast<int>(router));
   std::mt19937 rng(1000 + shards);
-  std::vector<UserId> alive(wp.num_users);
-  for (UserId u = 0; u < wp.num_users; ++u) alive[u] = u;
-  std::vector<UserId> removed;
 
-  auto check_continuous = [&](const char* context) {
-    for (size_t i = 0; i < cq_delta.size(); ++i) {
-      auto a = mon_delta.ResultOf(cq_delta[i]);
-      auto b = mon_direct.ResultOf(cq_direct[i]);
+  auto check_continuous = [&](const std::string& context) {
+    for (size_t i = 0; i < cq_engine.size(); ++i) {
+      auto a = mon_engine.ResultOf(cq_engine[i]);
+      auto b = mon_ref.ResultOf(cq_ref[i]);
       ASSERT_TRUE(a.ok() && b.ok()) << context;
       EXPECT_EQ(*a, *b) << context << " continuous query " << i;
+    }
+  };
+
+  // Insert `obj` everywhere; the status follows from mirror membership.
+  auto insert = [&](const MovingObject& obj) {
+    Status got = engine->Insert(obj);
+    Status ref = ref_tree.Insert(obj);
+    EXPECT_EQ(got.code(), ref.code()) << got.ToString() << " vs "
+                                      << ref.ToString();
+    if (obj.id >= wp.num_users) {
+      EXPECT_TRUE(got.IsInvalidArgument()) << got.ToString();
+    } else if (mirror.Contains(obj.id)) {
+      EXPECT_TRUE(got.IsAlreadyExists()) << got.ToString();
+    } else {
+      ASSERT_TRUE(got.ok()) << got.ToString();
+      mirror.Upsert(obj);
+      ASSERT_TRUE(mon_engine.OnUpdate(obj, now).ok());
+      ASSERT_TRUE(mon_ref.OnUpdate(obj, now).ok());
     }
   };
 
@@ -169,113 +243,102 @@ TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesDirectApply) {
         for (size_t i = 0; i < n; ++i) {
           batch.push_back(stream->Next());
         }
-        ASSERT_TRUE(delta->ApplyBatch(batch).ok());
-        ASSERT_TRUE(direct->ApplyBatch(batch).ok());
+        ASSERT_TRUE(engine->ApplyBatch(batch).ok());
         for (const UpdateEvent& ev : batch) {
           now = std::max(now, ev.t);
           // ApplyBatch upserts: a removed user who updates rejoins.
-          removed.erase(std::remove(removed.begin(), removed.end(),
-                                    ev.state.id),
-                        removed.end());
-          ASSERT_TRUE(mon_delta.OnUpdate(ev.state, ev.t).ok());
-          ASSERT_TRUE(mon_direct.OnUpdate(ev.state, ev.t).ok());
+          mirror.Upsert(ev.state);
+          ASSERT_TRUE(ref_tree.Update(ev.state).ok());
+          ASSERT_TRUE(mon_engine.OnUpdate(ev.state, ev.t).ok());
+          ASSERT_TRUE(mon_ref.OnUpdate(ev.state, ev.t).ok());
         }
         break;
       }
-      case 2: {  // Leave: tombstone in the delta, tree delete in the oracle.
-        const UserId uid = static_cast<UserId>(rng() % wp.num_users);
-        Status a = delta->Delete(uid);
-        Status b = direct->Delete(uid);
-        ASSERT_EQ(a.ok(), b.ok()) << a.message() << " vs " << b.message();
-        EXPECT_EQ(a.message(), b.message());
-        if (a.ok()) removed.push_back(uid);
-        ASSERT_TRUE(mon_delta.Advance(now).ok());
-        ASSERT_TRUE(mon_direct.Advance(now).ok());
+      case 2: {  // Leave: a tombstone in the engine's delta.
+        const UserId uid = ProbeId(rng, wp.num_users);
+        Status got = engine->Delete(uid);
+        Status ref = ref_tree.Delete(uid);
+        EXPECT_EQ(got.code(), ref.code()) << got.ToString() << " vs "
+                                          << ref.ToString();
+        if (mirror.Contains(uid)) {
+          ASSERT_TRUE(got.ok()) << got.ToString();
+          mirror.Remove(uid);
+        } else {
+          EXPECT_TRUE(got.IsNotFound()) << got.ToString();
+        }
+        ASSERT_TRUE(mon_engine.Advance(now).ok());
+        ASSERT_TRUE(mon_ref.Advance(now).ok());
         break;
       }
-      case 3: {  // Join: sparse re-insert of a previously removed user.
-        if (removed.empty()) break;
-        const size_t pick = rng() % removed.size();
-        const UserId uid = removed[pick];
+      case 3: {  // Join: sparse re-insert of a removed (or unknown) user.
         MovingObject obj;
-        obj.id = uid;
+        obj.id = ProbeId(rng, wp.num_users);
         obj.pos = {static_cast<double>(rng() % 1000),
                    static_cast<double>(rng() % 1000)};
         obj.vel = {1.0, -1.0};
         obj.tu = now;
-        Status a = delta->Insert(obj);
-        Status b = direct->Insert(obj);
-        ASSERT_EQ(a.ok(), b.ok()) << a.message() << " vs " << b.message();
-        EXPECT_EQ(a.message(), b.message());
-        removed.erase(removed.begin() + static_cast<ptrdiff_t>(pick));
-        ASSERT_TRUE(mon_delta.OnUpdate(obj, now).ok());
-        ASSERT_TRUE(mon_direct.OnUpdate(obj, now).ok());
+        insert(obj);
         break;
       }
       case 4: {  // Explicit merge: must not change any answer.
-        ASSERT_TRUE(delta->MergeDeltas().ok());
+        ASSERT_TRUE(engine->MergeDeltas().ok());
         break;
       }
-      default: {  // Duplicate-insert / missing-delete status parity.
-        const UserId uid = static_cast<UserId>(rng() % wp.num_users);
+      default: {  // Duplicate insert of a (usually) live user.
         MovingObject obj;
-        obj.id = uid;
+        obj.id = ProbeId(rng, wp.num_users);
         obj.tu = now;
-        Status a = delta->Insert(obj);
-        Status b = direct->Insert(obj);
-        ASSERT_EQ(a.ok(), b.ok());
-        EXPECT_EQ(a.message(), b.message());
-        if (a.ok()) {  // Was removed: keep the engines and books in sync.
-          removed.erase(std::remove(removed.begin(), removed.end(), uid),
-                        removed.end());
-          ASSERT_TRUE(mon_delta.OnUpdate(obj, now).ok());
-          ASSERT_TRUE(mon_direct.OnUpdate(obj, now).ok());
-        }
+        insert(obj);
         break;
       }
     }
     if (round % 4 == 0) {
-      ExpectSameAnswers(w, *delta, *direct,
-                        2000 + static_cast<uint64_t>(round), "round");
-      check_continuous("round");
-      EXPECT_EQ(mon_delta.TakeEvents(), mon_direct.TakeEvents());
-      EXPECT_EQ(delta->size(), direct->size());
-      // Spot-check GetObject, including tombstoned users.
+      const std::string context = tag + " round " + std::to_string(round);
+      ExpectMatchesMirror(w, *engine, mirror,
+                          2000 + static_cast<uint64_t>(round), context);
+      check_continuous(context);
+      EXPECT_EQ(mon_engine.TakeEvents(), mon_ref.TakeEvents()) << context;
+      // Spot-check GetObject, including removed and unknown users.
       for (int probe = 0; probe < 8; ++probe) {
-        const UserId uid = static_cast<UserId>(rng() % wp.num_users);
-        auto a = delta->GetObject(uid);
-        auto b = direct->GetObject(uid);
-        ASSERT_EQ(a.ok(), b.ok()) << "GetObject " << uid;
-        if (a.ok()) {
-          EXPECT_EQ((*a).pos.x, (*b).pos.x);
-          EXPECT_EQ((*a).pos.y, (*b).pos.y);
-          EXPECT_EQ((*a).tu, (*b).tu);
+        const UserId uid = ProbeId(rng, wp.num_users);
+        auto got = engine->GetObject(uid);
+        ASSERT_EQ(got.ok(), mirror.Contains(uid))
+            << context << " GetObject " << uid;
+        if (got.ok()) {
+          const MovingObject& want = mirror.Get(uid);
+          EXPECT_EQ(got->pos.x, want.pos.x);
+          EXPECT_EQ(got->pos.y, want.pos.y);
+          EXPECT_EQ(got->vel.x, want.vel.x);
+          EXPECT_EQ(got->vel.y, want.vel.y);
+          EXPECT_EQ(got->tu, want.tu);
         } else {
-          EXPECT_EQ(a.status().message(), b.status().message());
+          EXPECT_TRUE(got.status().IsNotFound()) << context;
         }
       }
     }
     if (round % 8 == 0) {
-      ASSERT_TRUE(delta->ValidateInvariants().ok());
+      ASSERT_TRUE(engine->ValidateInvariants().ok());
     }
   }
 
-  // Settle and compare once more: a fully merged delta engine must still
-  // agree, and its buffers must actually be empty.
-  ASSERT_TRUE(delta->MergeDeltas().ok());
-  EXPECT_EQ(delta->delta_stats().buffered_records, 0u);
-  EXPECT_GT(delta->delta_stats().merges, 0u);
-  EXPECT_GT(delta->delta_stats().appended_total, 0u);
-  ExpectSameAnswers(w, *delta, *direct, 9999, "final");
-  check_continuous("final");
-  EXPECT_EQ(mon_delta.TakeEvents(), mon_direct.TakeEvents());
-  EXPECT_EQ(delta->size(), direct->size());
-  ASSERT_TRUE(delta->ValidateInvariants().ok());
-  ASSERT_TRUE(direct->ValidateInvariants().ok());
+  // Settle and compare once more: a fully merged engine must still agree,
+  // and its buffers must actually be empty.
+  ASSERT_TRUE(engine->MergeDeltas().ok());
+  EXPECT_EQ(engine->delta_stats().buffered_records, 0u);
+  EXPECT_GT(engine->delta_stats().merges, 0u);
+  EXPECT_GT(engine->delta_stats().appended_total, 0u);
+  ExpectMatchesMirror(w, *engine, mirror, 9999, tag + " final");
+  check_continuous(tag + " final");
+  EXPECT_EQ(mon_engine.TakeEvents(), mon_ref.TakeEvents());
+  EXPECT_EQ(ref_tree.size(), mirror.size());
+  ASSERT_TRUE(engine->ValidateInvariants().ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(ShardCounts, DeltaIngestOracleTest,
-                         ::testing::Values(1, 4));
+INSTANTIATE_TEST_SUITE_P(
+    ShardsAndRouters, DeltaIngestOracleTest,
+    ::testing::Combine(::testing::Values(size_t{1}, size_t{4}),
+                       ::testing::Values(RouterPolicy::kHashUser,
+                                         RouterPolicy::kSvRange)));
 
 // ---------------------------------------------------------------------------
 // Backpressure
@@ -290,26 +353,25 @@ TEST(DeltaIngestBackpressure, HardCapForcesInlineMergeOnTheWriter) {
   wp.seed = 31;
   Workload w = Workload::Build(wp);
   // Threshold high enough that only the hard cap can trigger merges.
-  auto delta = MakeModeEngine(w, 2, /*delta_ingest=*/true,
-                              /*merge_threshold=*/1u << 20,
-                              /*hard_cap=*/32);
-  auto direct = MakeModeEngine(w, 2, /*delta_ingest=*/false,
-                               /*merge_threshold=*/1u << 20);
+  auto engine = MakeDeltaEngine(w, 2, RouterPolicy::kHashUser,
+                                /*merge_threshold=*/1u << 20,
+                                /*hard_cap=*/32);
+  Mirror mirror(w.dataset());
   auto stream = CloneUniformUpdateStream(w);
   for (int i = 0; i < 400; ++i) {
     UpdateEvent ev = stream->Next();
-    ASSERT_TRUE(delta->Update(ev.state).ok());
-    ASSERT_TRUE(direct->Update(ev.state).ok());
+    ASSERT_TRUE(engine->Update(ev.state).ok());
+    mirror.Upsert(ev.state);
     // The per-shard buffer never grows past the cap plus the one record
     // appended after the forced merge.
-    for (size_t s = 0; s < delta->num_shards(); ++s) {
-      EXPECT_LE(delta->shard_delta_records(s), 33u);
+    for (size_t s = 0; s < engine->num_shards(); ++s) {
+      EXPECT_LE(engine->shard_delta_records(s), 33u);
     }
   }
-  const auto stats = delta->delta_stats();
+  const auto stats = engine->delta_stats();
   EXPECT_GT(stats.backpressure_merges, 0u);
   EXPECT_EQ(stats.appended_total, 400u);
-  ExpectSameAnswers(w, *delta, *direct, 777, "backpressure");
+  ExpectMatchesMirror(w, *engine, mirror, 777, "backpressure");
 }
 
 // ---------------------------------------------------------------------------
@@ -326,11 +388,9 @@ TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndBackgroundMerges) {
   Workload w = Workload::Build(wp);
   // Background merges every 1ms race the foreground traffic; paranoid off
   // so merge sections stay short and the interleaving space stays large.
-  auto delta = MakeModeEngine(w, 4, /*delta_ingest=*/true,
-                              /*merge_threshold=*/32, /*hard_cap=*/0,
-                              /*background_ms=*/1, /*paranoid=*/false);
-  auto direct = MakeModeEngine(w, 4, /*delta_ingest=*/false,
-                               /*merge_threshold=*/32);
+  auto engine = MakeDeltaEngine(w, 4, RouterPolicy::kHashUser,
+                                /*merge_threshold=*/32, /*hard_cap=*/0,
+                                /*background_ms=*/1, /*paranoid=*/false);
   auto stream = CloneUniformUpdateStream(w);
 
   constexpr size_t kBatches = 60;
@@ -350,7 +410,7 @@ TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndBackgroundMerges) {
   std::atomic<bool> done{false};
   std::thread writer([&] {
     for (const auto& batch : batches) {
-      EXPECT_TRUE(delta->ApplyBatch(batch).ok());
+      EXPECT_TRUE(engine->ApplyBatch(batch).ok());
     }
     done.store(true, std::memory_order_release);
   });
@@ -368,14 +428,14 @@ TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndBackgroundMerges) {
            ++it) {
         for (const auto& prq : prqs) {
           EXPECT_TRUE(
-              delta->RangeQuery(prq.issuer, prq.range, prq.tq).ok());
+              engine->RangeQuery(prq.issuer, prq.range, prq.tq).ok());
         }
         for (const auto& knn : knns) {
           EXPECT_TRUE(
-              delta->KnnQuery(knn.issuer, knn.qloc, knn.k, knn.tq).ok());
+              engine->KnnQuery(knn.issuer, knn.qloc, knn.k, knn.tq).ok());
         }
-        (void)delta->GetObject(static_cast<UserId>(rng() % wp.num_users));
-        (void)delta->size();
+        (void)engine->GetObject(ProbeId(rng, wp.num_users));
+        (void)engine->size();
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     });
@@ -383,7 +443,7 @@ TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndBackgroundMerges) {
   std::thread validator([&] {
     for (int it = 0; it < 20 && !done.load(std::memory_order_acquire);
          ++it) {
-      EXPECT_TRUE(delta->ValidateInvariants().ok());
+      EXPECT_TRUE(engine->ValidateInvariants().ok());
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });
@@ -391,14 +451,14 @@ TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndBackgroundMerges) {
   for (auto& t : readers) t.join();
   validator.join();
 
-  // Settle and compare against the oracle replayed at the same prefix.
+  // Settle and compare against the mirror at the same prefix.
+  Mirror mirror(w.dataset());
   for (const auto& batch : batches) {
-    ASSERT_TRUE(direct->ApplyBatch(batch).ok());
+    for (const UpdateEvent& ev : batch) mirror.Upsert(ev.state);
   }
-  ASSERT_TRUE(delta->MergeDeltas().ok());
-  EXPECT_EQ(delta->size(), direct->size());
-  ExpectSameAnswers(w, *delta, *direct, 888, "concurrent-settled");
-  ASSERT_TRUE(delta->ValidateInvariants().ok());
+  ASSERT_TRUE(engine->MergeDeltas().ok());
+  ExpectMatchesMirror(w, *engine, mirror, 888, "concurrent-settled");
+  ASSERT_TRUE(engine->ValidateInvariants().ok());
 }
 
 }  // namespace

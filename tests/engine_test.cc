@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "engine/batch_applier.h"
@@ -15,6 +16,7 @@
 #include "engine/thread_pool.h"
 #include "eval/runner.h"
 #include "eval/workload.h"
+#include "test_util.h"
 
 namespace peb {
 namespace {
@@ -280,16 +282,14 @@ TEST_F(EngineWorldTest, AggregateIoIsTheSharedPool) {
 }
 
 // ---------------------------------------------------------------------------
-// LeafCursor fast path result equivalence
+// Leaf-cursor scans vs the Definition 2/3 brute-force oracles
 // ---------------------------------------------------------------------------
 
-// A single PEB-tree on its own pool, configurable down to the legacy
-// per-interval root-descent scan path (kept behind
-// MovingIndexOptions::leaf_cursor_fast_path exactly for this test).
+// A single PEB-tree on its own pool with a configurable Z-interval
+// coalescing gap (0 = exact decomposition, one probe per interval).
 struct SingleTree {
-  explicit SingleTree(Workload& w, bool fast_path, uint64_t coalesce_gap) {
+  SingleTree(Workload& w, uint64_t coalesce_gap) {
     PebTreeOptions opts = eval::PebOptionsFor(w.params());
-    opts.index.leaf_cursor_fast_path = fast_path;
     opts.index.zrange.coalesce_gap = coalesce_gap;
     pool = std::make_unique<BufferPool>(
         &disk, BufferPoolOptions{w.params().buffer_pages});
@@ -305,73 +305,93 @@ struct SingleTree {
   std::unique_ptr<PebTree> tree;
 };
 
-TEST_F(EngineWorldTest, FastPathAnswersAreBitIdenticalToLegacyDescents) {
-  SingleTree legacy(world(), /*fast_path=*/false, /*coalesce_gap=*/0);
-  SingleTree fast(world(), /*fast_path=*/true, /*coalesce_gap=*/3);
-
+/// Runs a PRQ and a PkNN batch against `index` and checks every answer
+/// against the brute-force oracles over the world's dataset. Returns the
+/// summed PkNN work counters.
+QueryCounters ExpectMatchesBruteForce(Workload& w, PrivacyAwareIndex& index,
+                                      uint64_t seed, const char* context) {
   QuerySetOptions q;
   q.count = 40;
-  q.seed = 1234;
-  auto prq = MakePrqQueries(world(), q);
-  auto knn = MakePknnQueries(world(), q);
-
-  for (const auto& query : prq) {
-    auto a = legacy.tree->RangeQuery(query.issuer, query.range, query.tq);
-    auto b = fast.tree->RangeQuery(query.issuer, query.range, query.tq);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(*a, *b);
+  q.seed = seed;
+  const double td = w.params().time_domain;
+  for (const auto& query : MakePrqQueries(w, q)) {
+    auto got = index.RangeQuery(query.issuer, query.range, query.tq);
+    EXPECT_TRUE(got.ok()) << context;
+    if (!got.ok()) continue;
+    EXPECT_EQ(*got, testing::BruteForcePrq(w.dataset(), w.store(), w.roles(),
+                                           query.issuer, query.range,
+                                           query.tq, td))
+        << context;
   }
-  QueryCounters fast_totals;
-  for (const auto& query : knn) {
-    auto a = legacy.tree->KnnQuery(query.issuer, query.qloc, query.k,
-                                   query.tq);
+  QueryCounters totals;
+  size_t i = 0;
+  for (const auto& query : MakePknnQueries(w, q)) {
     QueryStats stats;
-    auto b = fast.tree->KnnQueryWithStats(query.issuer, query.qloc, query.k,
-                                          query.tq, &stats);
-    fast_totals += stats.counters;
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->size(), b->size());
-    for (size_t i = 0; i < a->size(); ++i) {
-      EXPECT_EQ((*a)[i].uid, (*b)[i].uid);
-      // Bit-identical: the fast path scans the same entries in the same
-      // order, so even floating-point distances must match exactly.
-      EXPECT_EQ((*a)[i].distance, (*b)[i].distance);
-    }
+    auto got = index.KnnQueryWithStats(query.issuer, query.qloc, query.k,
+                                       query.tq, &stats);
+    EXPECT_TRUE(got.ok()) << context;
+    if (!got.ok()) continue;
+    totals += stats.counters;
+    testing::ExpectSamePknn(
+        testing::BruteForcePknn(w.dataset(), w.store(), w.roles(),
+                                query.issuer, query.qloc, query.k, query.tq,
+                                td),
+        *got, std::string(context) + " PkNN " + std::to_string(i++));
   }
-  // The fast path actually engaged: descents far below one per probe.
-  EXPECT_GT(fast_totals.range_probes, 0u);
-  EXPECT_LT(fast_totals.seek_descents, fast_totals.range_probes);
+  return totals;
 }
 
-TEST_F(EngineWorldTest, EngineFastPathMatchesLegacySingleTree) {
-  SingleTree legacy(world(), /*fast_path=*/false, /*coalesce_gap=*/0);
-  auto engine = MakeEngine(world(), 4, 4);
-
-  QuerySetOptions q;
-  q.count = 30;
-  q.seed = 4321;
-  auto prq = MakePrqQueries(world(), q);
-  for (const auto& query : prq) {
-    auto a = legacy.tree->RangeQuery(query.issuer, query.range, query.tq);
-    auto b = engine->RangeQuery(query.issuer, query.range, query.tq);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(*a, *b);
+TEST_F(EngineWorldTest, LeafCursorScansMatchBruteForce) {
+  // Default coalescing and exact decomposition: coalescing only adds
+  // scanned cells that query refinement discards.
+  for (uint64_t gap : {uint64_t{3}, uint64_t{0}}) {
+    SingleTree single(world(), gap);
+    const std::string context = "coalesce_gap=" + std::to_string(gap);
+    QueryCounters totals =
+        ExpectMatchesBruteForce(world(), *single.tree, 1234, context.c_str());
+    // The cursor actually engaged: descents far below one per probe.
+    EXPECT_GT(totals.range_probes, 0u) << context;
+    EXPECT_LT(totals.seek_descents, totals.range_probes) << context;
   }
-  auto knn = MakePknnQueries(world(), q);
-  for (const auto& query : knn) {
-    auto a = legacy.tree->KnnQuery(query.issuer, query.qloc, query.k,
-                                   query.tq);
-    auto b = engine->KnnQuery(query.issuer, query.qloc, query.k, query.tq);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->size(), b->size());
-    for (size_t i = 0; i < a->size(); ++i) {
-      EXPECT_EQ((*a)[i].uid, (*b)[i].uid);
-      EXPECT_EQ((*a)[i].distance, (*b)[i].distance);
+}
+
+TEST_F(EngineWorldTest, EngineMatchesBruteForce) {
+  auto engine = MakeEngine(world(), 4, 4);
+  ExpectMatchesBruteForce(world(), *engine, 4321, "engine");
+}
+
+// ---------------------------------------------------------------------------
+// Ids outside the policy encoding
+// ---------------------------------------------------------------------------
+
+// An unknown id must be rejected before it reaches the router: the
+// sv-range router indexes per-user state by id, and WAL replay feeds ids
+// read from disk. Statuses match the single tree's.
+TEST_F(EngineWorldTest, OutOfRangeIdsAreRejectedBeforeRouting) {
+  for (RouterPolicy policy :
+       {RouterPolicy::kHashUser, RouterPolicy::kSvRange}) {
+    auto engine = MakeEngine(world(), 4, 0, policy);
+    const size_t before = engine->size();
+    for (UserId id : {static_cast<UserId>(world().params().num_users),
+                      UserId{4000000000u}}) {
+      const std::string context = "policy " +
+                                  std::to_string(static_cast<int>(policy)) +
+                                  " id " + std::to_string(id);
+      EXPECT_TRUE(engine->GetObject(id).status().IsNotFound()) << context;
+      EXPECT_TRUE(engine->Delete(id).IsNotFound()) << context;
+      MovingObject obj;
+      obj.id = id;
+      EXPECT_TRUE(engine->Insert(obj).IsInvalidArgument()) << context;
+      EXPECT_TRUE(engine->Update(obj).IsInvalidArgument()) << context;
+      EXPECT_TRUE(
+          engine->ApplyBatch({UpdateEvent{0.0, obj}}).IsInvalidArgument())
+          << context;
+      Dataset bulk;
+      bulk.objects.push_back(obj);
+      EXPECT_TRUE(engine->LoadDataset(bulk).IsInvalidArgument()) << context;
     }
+    EXPECT_EQ(engine->size(), before);
+    EXPECT_TRUE(engine->ValidateInvariants().ok());
   }
 }
 

@@ -1,14 +1,16 @@
-// Incremental PkNN tests: the incremental path (cost-model-seeded radius,
-// exact annulus-delta scans, qsv-run coalescing, streaming shard merge
-// with retirement) must be observationally identical to the legacy
-// Figure-9 round path — for any shard count, for adversarial k values at
-// or above the number of matching friends, and while policy-encoding
-// epochs transition under the queries. Runs under the TSan CI job.
+// PkNN tests: the search (cost-model-seeded radius, exact annulus-delta
+// scans, qsv-run coalescing, streaming shard merge with retirement) must
+// match the Definition 3 brute-force oracle — on a single tree and on the
+// engine at any shard count, for adversarial k values at or above the
+// number of matching friends, and while policy-encoding epochs transition
+// under the queries. The engine must also stay bit-identical to the single
+// tree (shard invariance). Runs under the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "eval/runner.h"
 #include "eval/workload.h"
 #include "policy/policy_catalog.h"
+#include "test_util.h"
 
 namespace peb {
 namespace {
@@ -38,17 +41,14 @@ WorkloadParams SmallParams(uint64_t seed) {
   return p;
 }
 
-/// A single PEB-tree on its own pool with the incremental path forced on
-/// or off (the legacy round path is kept behind
-/// MovingIndexOptions::incremental_knn exactly for this oracle role).
-struct OracleTree {
-  OracleTree(const Workload& w, bool incremental) {
-    PebTreeOptions opts = eval::PebOptionsFor(w.params());
-    opts.index.incremental_knn = incremental;
+/// A single PEB-tree with the workload's default options on its own pool.
+struct SingleTree {
+  explicit SingleTree(const Workload& w) {
     pool = std::make_unique<BufferPool>(
         &disk, BufferPoolOptions{w.params().buffer_pages});
-    tree = std::make_unique<PebTree>(pool.get(), opts, &w.store(), &w.roles(),
-                                     &w.encoding());
+    tree = std::make_unique<PebTree>(pool.get(),
+                                     eval::PebOptionsFor(w.params()),
+                                     &w.store(), &w.roles(), &w.encoding());
     for (const MovingObject& o : w.dataset().objects) {
       EXPECT_TRUE(tree->Insert(o).ok());
     }
@@ -58,6 +58,13 @@ struct OracleTree {
   std::unique_ptr<BufferPool> pool;
   std::unique_ptr<PebTree> tree;
 };
+
+/// Definition 3 reference answer over the workload's dataset.
+std::vector<Neighbor> BruteForce(const Workload& w, const PknnQuery& q,
+                                 size_t k) {
+  return testing::BruteForcePknn(w.dataset(), w.store(), w.roles(), q.issuer,
+                                 q.qloc, k, q.tq, w.params().time_domain);
+}
 
 /// Sorts a kNN answer by (distance, uid): distances are continuous, so
 /// this only normalizes the order of exact ties, which merges may permute.
@@ -69,19 +76,17 @@ std::vector<Neighbor> Normalized(std::vector<Neighbor> v) {
   return v;
 }
 
+/// Shard invariance: the engine scans the same stored records as the
+/// single tree, so even floating-point distances match exactly.
 void ExpectBitIdentical(const std::vector<Neighbor>& want,
                         const std::vector<Neighbor>& got,
-                        const char* context, size_t qi) {
+                        const std::string& context) {
   std::vector<Neighbor> wn = Normalized(want);
   std::vector<Neighbor> gn = Normalized(got);
-  ASSERT_EQ(gn.size(), wn.size()) << context << " query " << qi;
+  ASSERT_EQ(gn.size(), wn.size()) << context;
   for (size_t r = 0; r < wn.size(); ++r) {
-    EXPECT_EQ(gn[r].uid, wn[r].uid) << context << " query " << qi
-                                    << " rank " << r;
-    // Bit-identical: the same candidate's distance is computed from the
-    // same stored record on either path.
-    EXPECT_EQ(gn[r].distance, wn[r].distance)
-        << context << " query " << qi << " rank " << r;
+    EXPECT_EQ(gn[r].uid, wn[r].uid) << context << " rank " << r;
+    EXPECT_EQ(gn[r].distance, wn[r].distance) << context << " rank " << r;
   }
 }
 
@@ -101,9 +106,8 @@ class PknnWorldTest : public ::testing::Test {
 
 Workload* PknnWorldTest::world_ = nullptr;
 
-TEST_F(PknnWorldTest, SingleTreeIncrementalBitIdenticalToLegacy) {
-  OracleTree legacy(world(), /*incremental=*/false);
-  OracleTree inc(world(), /*incremental=*/true);
+TEST_F(PknnWorldTest, SingleTreeMatchesBruteForce) {
+  SingleTree single(world());
 
   QuerySetOptions q;
   q.count = 40;
@@ -111,79 +115,45 @@ TEST_F(PknnWorldTest, SingleTreeIncrementalBitIdenticalToLegacy) {
   auto knn = MakePknnQueries(world(), q);
   bool any_results = false;
   for (size_t i = 0; i < knn.size(); ++i) {
-    auto a = legacy.tree->KnnQuery(knn[i].issuer, knn[i].qloc, knn[i].k,
-                                   knn[i].tq);
-    auto b = inc.tree->KnnQuery(knn[i].issuer, knn[i].qloc, knn[i].k,
-                                knn[i].tq);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ExpectBitIdentical(*a, *b, "single-tree", i);
-    any_results |= !b->empty();
+    auto got = single.tree->KnnQuery(knn[i].issuer, knn[i].qloc, knn[i].k,
+                                     knn[i].tq);
+    ASSERT_TRUE(got.ok());
+    testing::ExpectSamePknn(BruteForce(world(), knn[i], knn[i].k), *got,
+                            "single-tree query " + std::to_string(i));
+    any_results |= !got->empty();
   }
   EXPECT_TRUE(any_results);  // The batch exercised non-trivial searches.
 }
 
-TEST_F(PknnWorldTest, IncrementalDoesLessWorkThanLegacy) {
-  OracleTree legacy(world(), /*incremental=*/false);
-  OracleTree inc(world(), /*incremental=*/true);
-
-  QuerySetOptions q;
-  q.count = 40;
-  q.seed = 909;
-  auto knn = MakePknnQueries(world(), q);
-  size_t legacy_descents = 0, inc_descents = 0;
-  size_t legacy_rounds = 0, inc_rounds = 0;
-  for (const PknnQuery& query : knn) {
-    QueryStats legacy_stats;
-    ASSERT_TRUE(legacy.tree
-                    ->KnnQueryWithStats(query.issuer, query.qloc, query.k,
-                                        query.tq, &legacy_stats)
-                    .ok());
-    legacy_descents += legacy_stats.counters.seek_descents;
-    legacy_rounds += legacy_stats.counters.rounds;
-    QueryStats inc_stats;
-    ASSERT_TRUE(inc.tree
-                    ->KnnQueryWithStats(query.issuer, query.qloc, query.k,
-                                        query.tq, &inc_stats)
-                    .ok());
-    inc_descents += inc_stats.counters.seek_descents;
-    inc_rounds += inc_stats.counters.rounds;
-  }
-  // The seeded schedule needs fewer enlargement rounds and the annulus
-  // deltas + qsv runs need fewer positioning descents.
-  EXPECT_LT(inc_rounds, legacy_rounds);
-  EXPECT_LT(inc_descents, legacy_descents);
-}
-
 class PknnShardCountTest : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(PknnShardCountTest, EngineIncrementalBitIdenticalToLegacyRoundPath) {
+TEST_P(PknnShardCountTest, EngineMatchesBruteForceAndSingleTree) {
   const size_t shards = GetParam();
   Workload w = Workload::Build(SmallParams(29));
-  OracleTree legacy(w, /*incremental=*/false);
-  auto engine = MakeEngine(w, shards, 4);  // Incremental by default.
-  ASSERT_TRUE(engine->options().tree.index.incremental_knn);
+  SingleTree single(w);
+  auto engine = MakeEngine(w, shards, 4);
 
   QuerySetOptions q;
   q.count = 30;
   q.seed = 3030;
   auto knn = MakePknnQueries(w, q);
   for (size_t i = 0; i < knn.size(); ++i) {
-    auto want = legacy.tree->KnnQuery(knn[i].issuer, knn[i].qloc, knn[i].k,
+    auto want = single.tree->KnnQuery(knn[i].issuer, knn[i].qloc, knn[i].k,
                                       knn[i].tq);
     auto got =
         engine->KnnQuery(knn[i].issuer, knn[i].qloc, knn[i].k, knn[i].tq);
     ASSERT_TRUE(want.ok());
     ASSERT_TRUE(got.ok());
-    ExpectBitIdentical(*want, *got, "engine", i);
+    const std::string context = "engine query " + std::to_string(i);
+    testing::ExpectSamePknn(BruteForce(w, knn[i], knn[i].k), *got, context);
+    ExpectBitIdentical(*want, *got, context);
   }
 }
 
 TEST_P(PknnShardCountTest, AdversarialKAtOrAboveMatchingFriends) {
   const size_t shards = GetParam();
   Workload w = Workload::Build(SmallParams(31));
-  OracleTree legacy(w, /*incremental=*/false);
-  OracleTree inc(w, /*incremental=*/true);
+  SingleTree single(w);
   auto engine = MakeEngine(w, shards, 2);
 
   // With 10 policies/user an issuer has far fewer matching friends than
@@ -195,18 +165,19 @@ TEST_P(PknnShardCountTest, AdversarialKAtOrAboveMatchingFriends) {
   auto knn = MakePknnQueries(w, q);
   for (size_t k : {25u, 200u, 800u, 1000u}) {
     for (size_t i = 0; i < knn.size(); ++i) {
-      auto want =
-          legacy.tree->KnnQuery(knn[i].issuer, knn[i].qloc, k, knn[i].tq);
-      auto single =
-          inc.tree->KnnQuery(knn[i].issuer, knn[i].qloc, k, knn[i].tq);
+      auto one = single.tree->KnnQuery(knn[i].issuer, knn[i].qloc, k,
+                                       knn[i].tq);
       auto fanned =
           engine->KnnQuery(knn[i].issuer, knn[i].qloc, k, knn[i].tq);
-      ASSERT_TRUE(want.ok());
-      ASSERT_TRUE(single.ok());
+      ASSERT_TRUE(one.ok());
       ASSERT_TRUE(fanned.ok());
-      EXPECT_LE(want->size(), k);
-      ExpectBitIdentical(*want, *single, "adversarial-single", i);
-      ExpectBitIdentical(*want, *fanned, "adversarial-engine", i);
+      EXPECT_LE(one->size(), k);
+      const std::string context =
+          "k=" + std::to_string(k) + " query " + std::to_string(i);
+      const std::vector<Neighbor> want = BruteForce(w, knn[i], k);
+      testing::ExpectSamePknn(want, *one, "single " + context);
+      testing::ExpectSamePknn(want, *fanned, "engine " + context);
+      ExpectBitIdentical(*one, *fanned, "engine " + context);
     }
   }
 }
