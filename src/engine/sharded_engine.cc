@@ -14,18 +14,12 @@ namespace engine {
 
 namespace {
 
-/// Merges one shard's fresh candidates into the engine's running verified
-/// list (kept ascending by distance). `fresh` is ordered by (distance, uid)
-/// first, so exact distance ties land in uid order.
-void MergeByDistance(std::vector<Neighbor>* fresh,
+/// Merges one shard's fresh candidates — already ascending by distance —
+/// into the engine's running verified list (kept ascending by distance).
+void MergeByDistance(const std::vector<Neighbor>& fresh,
                      std::vector<Neighbor>* into) {
-  std::sort(fresh->begin(), fresh->end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.uid < b.uid;
-            });
   size_t mid = into->size();
-  into->insert(into->end(), fresh->begin(), fresh->end());
+  into->insert(into->end(), fresh.begin(), fresh.end());
   std::inplace_merge(into->begin(), into->begin() + mid, into->end(),
                      [](const Neighbor& a, const Neighbor& b) {
                        return a.distance < b.distance;
@@ -1280,7 +1274,7 @@ Result<std::vector<Neighbor>> ShardedPebEngine::KnnQueryWithStats(
             });
             if (!sl.status.ok() || sl.fresh.empty()) break;
             MutexLock g(&merge_mu);
-            MergeByDistance(&sl.fresh, &verified);
+            MergeByDistance(sl.fresh, &verified);
           }
           // Else retired outright: the covered radius already reaches
           // the global k-th distance, so even the vertical scan is moot.
@@ -1294,7 +1288,7 @@ Result<std::vector<Neighbor>> ShardedPebEngine::KnnQueryWithStats(
         if (!sl.status.ok()) break;
         if (!sl.fresh.empty()) {
           MutexLock g(&merge_mu);
-          MergeByDistance(&sl.fresh, &verified);
+          MergeByDistance(sl.fresh, &verified);
         }
       }
       // Every diagonal exhausted: the scan covered the whole space for

@@ -24,6 +24,7 @@
 #include "eval/runner.h"
 #include "eval/workload.h"
 #include "peb/continuous.h"
+#include "pknn_expect.h"
 #include "test_util.h"
 
 namespace peb {
@@ -216,6 +217,7 @@ TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesMirror) {
   };
 
   // Insert `obj` everywhere; the status follows from mirror membership.
+  size_t rejoins = 0;
   auto insert = [&](const MovingObject& obj) {
     Status got = engine->Insert(obj);
     Status ref = ref_tree.Insert(obj);
@@ -227,6 +229,7 @@ TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesMirror) {
       EXPECT_TRUE(got.IsAlreadyExists()) << got.ToString();
     } else {
       ASSERT_TRUE(got.ok()) << got.ToString();
+      ++rejoins;
       mirror.Upsert(obj);
       ASSERT_TRUE(mon_engine.OnUpdate(obj, now).ok());
       ASSERT_TRUE(mon_ref.OnUpdate(obj, now).ok());
@@ -270,9 +273,18 @@ TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesMirror) {
         ASSERT_TRUE(mon_ref.Advance(now).ok());
         break;
       }
-      case 3: {  // Join: sparse re-insert of a removed (or unknown) user.
+      case 3: {  // Join: sparse re-insert of a removed user, whose
+                 // tombstone may still sit in the delta; now and then a
+                 // probe id instead (live, just past, or far past the
+                 // policy encoding).
+        std::vector<UserId> removed;
+        for (UserId u = 0; u < wp.num_users; ++u) {
+          if (!mirror.Contains(u)) removed.push_back(u);
+        }
         MovingObject obj;
-        obj.id = ProbeId(rng, wp.num_users);
+        obj.id = !removed.empty() && rng() % 4 != 0
+                     ? removed[rng() % removed.size()]
+                     : ProbeId(rng, wp.num_users);
         obj.pos = {static_cast<double>(rng() % 1000),
                    static_cast<double>(rng() % 1000)};
         obj.vel = {1.0, -1.0};
@@ -331,6 +343,53 @@ TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesMirror) {
   check_continuous(tag + " final");
   EXPECT_EQ(mon_engine.TakeEvents(), mon_ref.TakeEvents());
   EXPECT_EQ(ref_tree.size(), mirror.size());
+  EXPECT_GT(rejoins, 0u) << tag << ": no removed user ever rejoined";
+  ASSERT_TRUE(engine->ValidateInvariants().ok());
+}
+
+TEST_P(DeltaIngestOracleTest, RejoinOverBufferedTombstone) {
+  const auto [shards, router] = GetParam();
+  WorkloadParams wp;
+  wp.num_users = 300;
+  wp.policies_per_user = 8;
+  wp.buffer_pages = 64;
+  wp.grid_bits = 8;
+  wp.seed = 41;
+  Workload w = Workload::Build(wp);
+  // Threshold high enough that no merge runs until the explicit one, so
+  // every Insert below meets its user's tombstone in the delta.
+  auto engine = MakeDeltaEngine(w, shards, router,
+                                /*merge_threshold=*/1u << 20);
+  Mirror mirror(w.dataset());
+  const std::string tag = std::to_string(shards) + " shards, router " +
+                          std::to_string(static_cast<int>(router));
+
+  const Timestamp now = w.params().delta_t_mu;
+  for (UserId uid = 0; uid < 20; ++uid) {
+    ASSERT_TRUE(engine->Delete(uid).ok());
+    mirror.Remove(uid);
+    EXPECT_TRUE(engine->GetObject(uid).status().IsNotFound());
+    EXPECT_TRUE(engine->Delete(uid).IsNotFound());
+    MovingObject obj;
+    obj.id = uid;
+    obj.pos = {50.0 * uid, 1000.0 - 50.0 * uid};
+    obj.vel = {1.0, -1.0};
+    obj.tu = now;
+    ASSERT_TRUE(engine->Insert(obj).ok()) << tag << " user " << uid;
+    mirror.Upsert(obj);
+    EXPECT_TRUE(engine->Insert(obj).IsAlreadyExists());
+    auto got = engine->GetObject(uid);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->pos.x, obj.pos.x);
+    EXPECT_EQ(got->pos.y, obj.pos.y);
+  }
+  EXPECT_GT(engine->delta_stats().buffered_records, 0u);
+  ExpectMatchesMirror(w, *engine, mirror, 4100, tag + " buffered");
+  ASSERT_TRUE(engine->ValidateInvariants().ok());
+
+  ASSERT_TRUE(engine->MergeDeltas().ok());
+  EXPECT_EQ(engine->delta_stats().buffered_records, 0u);
+  ExpectMatchesMirror(w, *engine, mirror, 4101, tag + " merged");
   ASSERT_TRUE(engine->ValidateInvariants().ok());
 }
 

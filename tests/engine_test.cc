@@ -16,6 +16,7 @@
 #include "engine/thread_pool.h"
 #include "eval/runner.h"
 #include "eval/workload.h"
+#include "pknn_expect.h"
 #include "test_util.h"
 
 namespace peb {

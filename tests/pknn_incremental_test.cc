@@ -18,6 +18,7 @@
 #include "eval/runner.h"
 #include "eval/workload.h"
 #include "policy/policy_catalog.h"
+#include "pknn_expect.h"
 #include "test_util.h"
 
 namespace peb {
