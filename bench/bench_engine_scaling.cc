@@ -42,8 +42,7 @@ MovingObjectService MakeService(Workload& w, PrivacyAwareIndex* index,
   service::ServiceOptions opts;
   opts.num_workers = workers;
   opts.time_domain = w.params().time_domain;
-  return MovingObjectService(index, &w.store(), &w.roles(), &w.encoding(),
-                             opts);
+  return MovingObjectService(index, w.catalog(), opts);
 }
 
 struct ClosedLoopPoint {

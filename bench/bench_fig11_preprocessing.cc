@@ -2,7 +2,7 @@
 // (a) varies the number of users 10K..100K at 50 policies/user;
 // (b) varies the policies per user 10..100 at 60K users.
 // The metric is the wall-clock time of the one-time offline policy
-// comparison + sequence-value generation (PolicyEncoding::Build).
+// comparison + sequence-value generation (EncodingSnapshot::Build).
 #include "bench_common.h"
 
 #include <chrono>
@@ -24,8 +24,8 @@ double EncodeSeconds(size_t users, size_t policies) {
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
   auto t0 = std::chrono::steady_clock::now();
-  PolicyEncoding enc =
-      PolicyEncoding::Build(gen.store, users, compat, {}, quant);
+  EncodingSnapshot enc =
+      EncodingSnapshot::Build(gen.store, users, compat, {}, quant);
   auto t1 = std::chrono::steady_clock::now();
   // Keep the encoding alive through the timing read.
   if (enc.num_users() != users) std::abort();

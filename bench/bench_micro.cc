@@ -240,10 +240,9 @@ eval::Json RunAndReportTelemetryOverheadCell() {
   service::ServiceOptions svc_off_opts;
   svc_off_opts.time_domain = p.time_domain;
   svc_off_opts.telemetry = telemetry::TelemetryOptions::Disabled();
-  service::MovingObjectService svc_on(engine_on.get(), &w.store(), &w.roles(),
-                                      &w.encoding(), svc_on_opts);
-  service::MovingObjectService svc_off(engine_off.get(), &w.store(),
-                                       &w.roles(), &w.encoding(),
+  service::MovingObjectService svc_on(engine_on.get(), w.catalog(),
+                                      svc_on_opts);
+  service::MovingObjectService svc_off(engine_off.get(), w.catalog(),
                                        svc_off_opts);
 
   constexpr int kReps = 5;

@@ -11,10 +11,11 @@
 // Build & run:  ./build/examples/colleague_hours
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "peb/peb_tree.h"
-#include "policy/sequence_value.h"
+#include "policy/policy_catalog.h"
 #include "service/query_request.h"
 #include "service/service.h"
 #include "storage/buffer_pool.h"
@@ -75,19 +76,19 @@ int main() {
   }
   // Frank has no relationship with anyone.
 
-  CompatibilityOptions compat;
-  SvQuantizer quantizer(64.0, 26);
-  PolicyEncoding encoding = PolicyEncoding::Build(store, 6, compat, {},
-                                                  quantizer);
+  CatalogOptions catalog_options;
+  catalog_options.num_users = 6;
+  PolicyCatalog catalog(std::move(store), std::move(roles), catalog_options);
   std::printf("sequence values (colleagues+family cluster around Bob):\n");
   for (UserId u = 0; u < 6; ++u) {
-    std::printf("  %-6s sv=%.3f\n", kNames[u], encoding.sv(u));
+    std::printf("  %-6s sv=%.3f\n", kNames[u], catalog.current().sv(u));
   }
 
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{50});
   PebTreeOptions options;
-  PebTree tree(&pool, options, &store, &roles, &encoding);
+  PebTree tree(&pool, options, &catalog.store(), &catalog.roles(),
+               catalog.snapshot());
 
   // Everyone hangs around the office block (in town) and stands still; the
   // query answer changes purely because of the time of day.
@@ -106,8 +107,8 @@ int main() {
   if (!s.ok()) return 1;
 
   // Queries go through the request/response service facade (the tree is
-  // the backing index; policies/roles/encoding enable standing queries).
-  MovingObjectService office(&tree, &store, &roles, &encoding);
+  // the backing index; the catalog supplies the live policy state).
+  MovingObjectService office(&tree, &catalog);
 
   Rect office_block = Rect::CenteredSquare({500, 500}, 100.0);
   // Note: query times must stay within one max update interval of the

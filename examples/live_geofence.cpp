@@ -37,8 +37,7 @@ int main() {
   // A 4-shard engine serves the standing query; updates flow through a
   // service update session (a deterministic clone of the workload stream).
   auto engine = MakeEngine(world, /*num_shards=*/4, /*num_threads=*/4);
-  MovingObjectService svc(engine.get(), &world.store(), &world.roles(),
-                          &world.encoding());
+  MovingObjectService svc(engine.get(), world.catalog());
   auto stream = CloneUniformUpdateStream(world);
   if (stream == nullptr) return 1;
   auto session = svc.OpenUpdateSession(stream.get(), /*batch_size=*/256);

@@ -1,7 +1,8 @@
 // Quickstart: the smallest end-to-end use of the PEB-tree public API.
 //
 //   1. Define users' location-privacy policies (LPPs) and roles.
-//   2. Build the policy encoding (sequence values + friend lists).
+//   2. Hand them to a PolicyCatalog, which builds the policy encoding
+//      (sequence values + friend lists).
 //   3. Create a PEB-tree over a buffer pool and insert moving users.
 //   4. Front it with a MovingObjectService and issue a privacy-aware
 //      range query (PRQ) and a privacy-aware k-nearest-neighbor query
@@ -10,11 +11,12 @@
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
+#include <utility>
 
 #include "peb/peb_tree.h"
+#include "policy/policy_catalog.h"
 #include "policy/policy_store.h"
 #include "policy/role_registry.h"
-#include "policy/sequence_value.h"
 #include "service/query_request.h"
 #include "service/service.h"
 #include "storage/buffer_pool.h"
@@ -50,10 +52,12 @@ int main() {
   roles.AssignRole(2, 0, friend_role);  // Carol declares Alice a friend.
 
   // --- 2. Policy encoding (the offline step of Section 5.1) -----------------
-  CompatibilityOptions compat;  // Space 1000x1000, day of 1440 minutes.
-  SvQuantizer quantizer(/*scale=*/64.0, /*bits=*/26);
-  PolicyEncoding encoding =
-      PolicyEncoding::Build(store, /*num_users=*/3, compat, {}, quantizer);
+  // Defaults: 1000x1000 space, 1440-minute day, 64 steps per SV unit in 26
+  // bits. The catalog owns the policies from here on.
+  CatalogOptions catalog_options;
+  catalog_options.num_users = 3;
+  PolicyCatalog catalog(std::move(store), std::move(roles), catalog_options);
+  const EncodingSnapshot& encoding = catalog.current();
   for (UserId u = 0; u < 3; ++u) {
     std::printf("user %u: sequence value %.2f (%u friends may query them)\n",
                 u, encoding.sv(u),
@@ -64,7 +68,8 @@ int main() {
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{.capacity = 50});
   PebTreeOptions options;  // 1000x1000 space, Z-grid 2^10, Δtmu=120, n=2.
-  PebTree tree(&pool, options, &store, &roles, &encoding);
+  PebTree tree(&pool, options, &catalog.store(), &catalog.roles(),
+               catalog.snapshot());
 
   // Insert everyone at t=0. Positions follow x(t) = x + v(t - tu).
   Status s;
@@ -79,7 +84,7 @@ int main() {
   // Alice asks at 9:00 (t=540... but within delta_t_mu of the updates; use
   // t=60 which maps to 01:00 — Carol's window starts at 08:00, so make the
   // query at a time inside her window by re-updating her first).
-  MovingObjectService svc(&tree, &store, &roles, &encoding);
+  MovingObjectService svc(&tree, &catalog);
 
   Timestamp tq = 60.0;  // 01:00 — outside Carol's working hours.
   Rect window = Rect::CenteredSquare({500, 500}, 200.0);

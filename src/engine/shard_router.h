@@ -75,14 +75,6 @@ class SvRangeRouter final : public ShardRouter {
   SvRangeRouter(size_t num_shards,
                 std::shared_ptr<const EncodingSnapshot> snapshot);
 
-  /// Legacy bridge: non-owning view of `encoding` (must outlive the
-  /// router).
-  SvRangeRouter(size_t num_shards, const PolicyEncoding* encoding)
-      : SvRangeRouter(num_shards,
-                      std::shared_ptr<const EncodingSnapshot>(
-                          std::shared_ptr<const EncodingSnapshot>(),
-                          encoding)) {}
-
   size_t ShardOf(UserId uid) const override;
   std::string_view name() const override { return "sv-range"; }
 
@@ -99,15 +91,6 @@ class SvRangeRouter final : public ShardRouter {
 std::unique_ptr<ShardRouter> MakeRouter(
     RouterPolicy policy, size_t num_shards,
     std::shared_ptr<const EncodingSnapshot> snapshot);
-
-/// Legacy bridge: non-owning view of `encoding` (must outlive the router).
-inline std::unique_ptr<ShardRouter> MakeRouter(RouterPolicy policy,
-                                               size_t num_shards,
-                                               const PolicyEncoding* encoding) {
-  return MakeRouter(policy, num_shards,
-                    std::shared_ptr<const EncodingSnapshot>(
-                        std::shared_ptr<const EncodingSnapshot>(), encoding));
-}
 
 }  // namespace engine
 }  // namespace peb

@@ -26,44 +26,6 @@ void MergeByDistance(const std::vector<Neighbor>& fresh,
                      });
 }
 
-/// LoadDataset's fan-out: items already grouped by home shard are applied
-/// in order on one worker task per shard, stopping a shard's task at its
-/// first error. `lock_hold_ms` (when non-null)
-/// observes how long each shard task held its shard mutex — the interval
-/// concurrent queries on that shard were blocked for.
-template <typename ShardPtr, typename Item, typename Apply>
-Status RouteAndApply(std::vector<ShardPtr>& shards, ThreadPool& threads,
-                     const std::vector<std::vector<const Item*>>& groups,
-                     const Apply& apply,
-                     telemetry::Histogram* lock_hold_ms) {
-  std::vector<Status> statuses(shards.size());
-  std::vector<std::function<void()>> tasks;
-  for (size_t s = 0; s < shards.size(); ++s) {
-    if (groups[s].empty()) continue;
-    tasks.push_back([&, s] {
-      auto& shard = *shards[s];
-      MutexLock lock(&shard.mu);
-      auto locked_at = std::chrono::steady_clock::now();
-      for (const Item* item : groups[s]) {
-        Status st = apply(*shard.tree, *item);
-        if (!st.ok()) {
-          statuses[s] = std::move(st);
-          break;
-        }
-      }
-      telemetry::Observe(lock_hold_ms,
-                         std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - locked_at)
-                             .count());
-    });
-  }
-  threads.RunAll(std::move(tasks));
-  for (Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 ShardedPebEngine::DiskHolder ShardedPebEngine::MakeDisk(
@@ -75,7 +37,6 @@ ShardedPebEngine::DiskHolder ShardedPebEngine::MakeDisk(
     return holder;
   }
   FileDiskOptions fopts;
-  fopts.use_mmap = dur.use_mmap;
   fopts.overwrite_existing = dur.overwrite_existing;
   std::unique_ptr<FileDiskManager> file;
   if (dur.fault_injector != nullptr) {
@@ -225,7 +186,7 @@ ShardedPebEngine::~ShardedPebEngine() {
   // the database) simply leaves the unclean flag, and recovery replays the
   // WAL as after any crash.
   if (durable_ != nullptr && close_checkpoint_armed_ &&
-      options_.durability.checkpoint_on_close && CheckDurable().ok()) {
+      options_.durability.checkpoint_on_close && durability_status().ok()) {
     WriterMutexLock state_lock(&state_mu_);
     (void)CheckpointLocked(/*clean=*/true);
   }
@@ -239,12 +200,6 @@ ShardedPebEngine::~ShardedPebEngine() {
 // ---------------------------------------------------------------------------
 
 Status ShardedPebEngine::durability_status() const {
-  if (wal_ == nullptr && durable_ == nullptr) return Status::OK();
-  MutexLock wal_lock(&wal_mu_);
-  return durability_error_;
-}
-
-Status ShardedPebEngine::CheckDurable() const {
   if (durable_ == nullptr) return Status::OK();
   MutexLock wal_lock(&wal_mu_);
   return durability_error_;
@@ -375,16 +330,13 @@ Result<std::unique_ptr<ShardedPebEngine>> ShardedPebEngine::Open(
   }
   // 1. Reopen the page store (never truncates; rejects corrupt files).
   DiskHolder holder;
-  FileDiskOptions fopts;
-  fopts.use_mmap = dur.use_mmap;
   if (dur.fault_injector != nullptr) {
     PEB_ASSIGN_OR_RETURN(auto fd, FaultInjectingDiskManager::OpenExisting(
-                                      dur.path, dur.fault_injector, fopts));
+                                      dur.path, dur.fault_injector));
     holder.durable = fd.get();
     holder.disk = std::move(fd);
   } else {
-    PEB_ASSIGN_OR_RETURN(auto fd,
-                         FileDiskManager::OpenExisting(dur.path, fopts));
+    PEB_ASSIGN_OR_RETURN(auto fd, FileDiskManager::OpenExisting(dur.path));
     holder.durable = fd.get();
     holder.disk = std::move(fd);
   }
@@ -574,7 +526,7 @@ void ShardedPebEngine::UpdateBacklogGauge() const {
 
 Status ShardedPebEngine::IngestOne(const MovingObject& state, bool tombstone,
                                    bool require_absent, bool require_present) {
-  PEB_RETURN_NOT_OK(CheckDurable());
+  PEB_RETURN_NOT_OK(durability_status());
   // Reject ids outside the encoding BEFORE routing: a router may index
   // per-user state by id (SvRangeRouter), and WAL replay feeds ids read
   // from disk. Statuses match a single tree's: Delete of an unknown user
@@ -645,7 +597,7 @@ Status ShardedPebEngine::Delete(UserId id) {
 }
 
 Status ShardedPebEngine::LoadDataset(const Dataset& dataset) {
-  PEB_RETURN_NOT_OK(CheckDurable());
+  PEB_RETURN_NOT_OK(durability_status());
   for (const MovingObject& o : dataset.objects) {
     if (o.id >= num_users_) {  // Checked before routing, as in IngestOne.
       return Status::InvalidArgument("object id outside the policy encoding");
@@ -656,14 +608,36 @@ Status ShardedPebEngine::LoadDataset(const Dataset& dataset) {
   for (const MovingObject& o : dataset.objects) {
     groups[router_->ShardOf(o.id)].push_back(&o);
   }
+  // One worker task per shard inserts its group in order, stopping at the
+  // first error; batch_lock_hold_ms_ observes how long each task held its
+  // shard mutex (the interval queries on that shard were blocked for).
+  std::vector<Status> statuses(shards_.size());
+  std::vector<std::function<void()>> tasks;
   for (size_t s = 0; s < shards_.size(); ++s) {
     telemetry::Inc(shard_instruments_[s].updates, groups[s].size());
+    if (groups[s].empty()) continue;
+    tasks.push_back([&, s] {
+      Shard& shard = *shards_[s];
+      MutexLock lock(&shard.mu);
+      const auto locked_at = std::chrono::steady_clock::now();
+      for (const MovingObject* o : groups[s]) {
+        statuses[s] = shard.tree->Insert(*o);
+        if (!statuses[s].ok()) break;
+      }
+      telemetry::Observe(batch_lock_hold_ms_,
+                         std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - locked_at)
+                             .count());
+    });
   }
-  Status st = RouteAndApply(shards_, threads_, groups,
-                            [](PebTree& tree, const MovingObject& o) {
-                              return tree.Insert(o);
-                            },
-                            batch_lock_hold_ms_);
+  threads_.RunAll(std::move(tasks));
+  Status st;
+  for (Status& shard_st : statuses) {
+    if (!shard_st.ok()) {
+      st = std::move(shard_st);
+      break;
+    }
+  }
   if (st.ok() && options_.tree.index.paranoid_checks) st = ValidateLocked();
   // Bulk loads are not journaled event-by-event; a checkpoint makes the
   // loaded base state durable in one stroke instead.
@@ -675,7 +649,7 @@ Status ShardedPebEngine::LoadDataset(const Dataset& dataset) {
 }
 
 Status ShardedPebEngine::ApplyBatch(const std::vector<UpdateEvent>& events) {
-  PEB_RETURN_NOT_OK(CheckDurable());
+  PEB_RETURN_NOT_OK(durability_status());
   if (events.empty()) return Status::OK();
   // Pre-validate so the whole batch is rejected before anything is
   // published (and before any id reaches the router).
@@ -855,7 +829,17 @@ Status ShardedPebEngine::AdoptSnapshot(
   if (snapshot == nullptr) {
     return Status::InvalidArgument("cannot adopt a null encoding snapshot");
   }
-  PEB_RETURN_NOT_OK(CheckDurable());
+  // Reject before anything is swapped: the shard trees would refuse the
+  // same snapshot, but only after the engine had already pinned it.
+  if (snapshot->num_users() != num_users_) {
+    return Status::InvalidArgument(
+        "snapshot population differs from the engine's encoding");
+  }
+  if (snapshot->quantizer().bits() > options_.tree.sv_bits) {
+    return Status::InvalidArgument(
+        "snapshot quantizer wider than the key's SV field");
+  }
+  PEB_RETURN_NOT_OK(durability_status());
   // One exclusive section swaps every shard AND applies every re-key:
   // queries (shared holders) observe either the old epoch with old keys or
   // the new epoch with new keys, never a mix — on any shard count.
@@ -865,7 +849,9 @@ Status ShardedPebEngine::AdoptSnapshot(
   std::vector<std::vector<UserId>> groups(shards_.size());
   if (rekey != nullptr) {
     for (UserId uid : *rekey) {
-      groups[router_->ShardOf(uid)].push_back(uid);
+      // Ids outside the encoding are not indexed anywhere: skip them before
+      // routing, as the ingest path does.
+      if (uid < num_users_) groups[router_->ShardOf(uid)].push_back(uid);
     }
   }
   std::vector<Status> statuses(shards_.size());

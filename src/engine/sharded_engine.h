@@ -164,8 +164,6 @@ struct EngineOptions {
     /// contract: an OK ApplyBatch survives a crash). Off trades that for
     /// throughput — a crash may lose the un-synced suffix, never atomicity.
     bool sync_each_batch = true;
-    /// mmap the database file (storage/disk_manager.h); off = stdio.
-    bool use_mmap = true;
     /// Allow fresh-engine construction to truncate a path that already
     /// holds a valid database. Off (the default) poisons the engine
     /// instead (durability_status() reports it): reopening a database is
@@ -194,14 +192,6 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   ShardedPebEngine(const EngineOptions& options, const PolicyStore* store,
                    const RoleRegistry* roles,
                    std::shared_ptr<const EncodingSnapshot> snapshot);
-
-  /// Legacy bridge for static worlds: non-owning view of `encoding`.
-  ShardedPebEngine(const EngineOptions& options, const PolicyStore* store,
-                   const RoleRegistry* roles, const PolicyEncoding* encoding)
-      : ShardedPebEngine(options, store, roles,
-                         std::shared_ptr<const EncodingSnapshot>(
-                             std::shared_ptr<const EncodingSnapshot>(),
-                             encoding)) {}
 
   /// Unregisters this engine's registry collector (benches construct many
   /// engines against the long-lived default registry).
@@ -294,6 +284,7 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
 
   /// OK, or the latched poison status after a durability I/O failure (all
   /// mutations and checkpoints fail with it until the engine is reopened).
+  /// Always OK on in-memory engines.
   Status durability_status() const EXCLUDES(wal_mu_);
 
   /// The durable store (null on in-memory engines); tests inspect overlay
@@ -427,10 +418,6 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
       REQUIRES(state_mu_);
 
   // --- durability internals -------------------------------------------------
-  /// Fast-fails a mutation once the engine is poisoned. OK on in-memory
-  /// engines and healthy durable ones.
-  Status CheckDurable() const EXCLUDES(wal_mu_);
-
   /// Journals `ops` as one kEvents record (one WAL record per logical
   /// batch), syncing when durability.sync_each_batch. Called after the
   /// in-RAM apply succeeded, from inside the caller's ingest or exclusive

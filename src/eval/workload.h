@@ -148,7 +148,7 @@ std::unique_ptr<engine::ShardedPebEngine> MakeEngine(
     telemetry::TelemetryOptions telemetry = {});
 
 /// A deterministic clone of the workload's update stream (same dataset
-/// snapshot, same seed), for feeding a BatchUpdateApplier the exact event
+/// snapshot, same seed), for feeding an update session the exact event
 /// sequence Workload::ApplyUpdates will consume. Uniform distribution only
 /// (returns nullptr otherwise), and the clone matches only when taken
 /// before any ApplyUpdates call on the workload.

@@ -62,26 +62,14 @@ struct ContinuousQueryEvent {
 /// callers that feed it from several threads serialize externally — the
 /// service layer's continuous_mu_ IS that serialization (the monitor
 /// pointer is PT_GUARDED_BY it), which is why this class carries no lock
-/// and no annotations of its own. The index, store, roles, and encoding
-/// must outlive the monitor.
+/// and no annotations of its own. The index, store, and roles must outlive
+/// the monitor; it shares ownership of the encoding snapshot it keys by.
 class ContinuousQueryMonitor {
  public:
   ContinuousQueryMonitor(PrivacyAwareIndex* index, const PolicyStore* store,
                          const RoleRegistry* roles,
                          std::shared_ptr<const EncodingSnapshot> snapshot,
                          double time_domain = kDefaultTimeDomain);
-
-  /// Legacy bridge: non-owning view of `encoding` (must outlive the
-  /// monitor).
-  ContinuousQueryMonitor(PrivacyAwareIndex* index, const PolicyStore* store,
-                         const RoleRegistry* roles,
-                         const PolicyEncoding* encoding,
-                         double time_domain = kDefaultTimeDomain)
-      : ContinuousQueryMonitor(index, store, roles,
-                               std::shared_ptr<const EncodingSnapshot>(
-                                   std::shared_ptr<const EncodingSnapshot>(),
-                                   encoding),
-                               time_domain) {}
 
   /// Adopts a new encoding snapshot at time `now`: watcher lists are
   /// rebuilt from the new friend lists and every registered query's

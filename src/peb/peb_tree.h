@@ -200,15 +200,6 @@ class PebTree final : public PrivacyAwareIndex {
           const PolicyStore* store, const RoleRegistry* roles,
           std::shared_ptr<const EncodingSnapshot> snapshot);
 
-  /// Legacy bridge for static worlds: a non-owning view of `encoding`,
-  /// which must outlive the tree.
-  PebTree(BufferPool* pool, const PebTreeOptions& options,
-          const PolicyStore* store, const RoleRegistry* roles,
-          const PolicyEncoding* encoding)
-      : PebTree(pool, options, store, roles,
-                std::shared_ptr<const EncodingSnapshot>(
-                    std::shared_ptr<const EncodingSnapshot>(), encoding)) {}
-
   Status Insert(const MovingObject& object) override;
   Status Update(const MovingObject& object) override;
   Status Delete(UserId id) override;

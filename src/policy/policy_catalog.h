@@ -109,7 +109,7 @@ class PolicyCatalog {
   std::shared_ptr<const EncodingSnapshot> snapshot() const;
 
   /// Reference to the current snapshot — valid until the next Reencode()/
-  /// RebuildFull(). For static worlds and measurement code, where no
+  /// RebuildFull(). For single-threaded setup and measurement code, where no
   /// concurrent re-encode exists by construction — hence exempt from the
   /// thread-safety analysis.
   const EncodingSnapshot& current() const NO_THREAD_SAFETY_ANALYSIS {

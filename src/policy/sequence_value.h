@@ -1,5 +1,5 @@
-// Sequence-value assignment (Section 5.1, Figure 5) and the PolicyEncoding
-// bundle that the PEB-tree and its query algorithms consume.
+// Sequence-value assignment (Section 5.1, Figure 5) and the EncodingSnapshot
+// that the PEB-tree and its query algorithms consume.
 //
 // The algorithm:
 //  1. For each user, collect the group G(ui) of related users (C > 0).
@@ -164,9 +164,5 @@ class EncodingSnapshot {
   /// Per-user friend lists, shared across derived snapshots (never null).
   std::vector<FriendList> friends_;
 };
-
-/// Legacy name from the one-shot (frozen-policy) era; the type is now the
-/// epoch-snapshot. Kept so static-world callers read naturally.
-using PolicyEncoding = EncodingSnapshot;
 
 }  // namespace peb

@@ -45,40 +45,13 @@ MovingObjectService::MovingObjectService(PrivacyAwareIndex* index,
     : index_(index),
       engine_(dynamic_cast<engine::ShardedPebEngine*>(index)),
       catalog_(catalog),
-      store_(&catalog->store()),
-      roles_(&catalog->roles()),
       options_(options),
+      monitor_(std::make_unique<ContinuousQueryMonitor>(
+          index, &catalog->store(), &catalog->roles(), catalog->snapshot(),
+          options.time_domain)),
       workers_(options.num_workers) {
-  monitor_ = std::make_unique<ContinuousQueryMonitor>(
-      index_, store_, roles_, catalog->snapshot(), options_.time_domain);
   InitTelemetry();
 }
-
-MovingObjectService::MovingObjectService(PrivacyAwareIndex* index,
-                                         const PolicyStore* store,
-                                         const RoleRegistry* roles,
-                                         const PolicyEncoding* encoding,
-                                         ServiceOptions options)
-    : index_(index),
-      engine_(dynamic_cast<engine::ShardedPebEngine*>(index)),
-      catalog_(nullptr),
-      store_(store),
-      roles_(roles),
-      options_(options),
-      workers_(options.num_workers) {
-  if (store_ != nullptr && roles_ != nullptr && encoding != nullptr) {
-    monitor_ = std::make_unique<ContinuousQueryMonitor>(
-        index_, store_, roles_,
-        std::shared_ptr<const EncodingSnapshot>(
-            std::shared_ptr<const EncodingSnapshot>(), encoding),
-        options_.time_domain);
-  }
-  InitTelemetry();
-}
-
-MovingObjectService::MovingObjectService(PrivacyAwareIndex* index,
-                                         ServiceOptions options)
-    : MovingObjectService(index, nullptr, nullptr, nullptr, options) {}
 
 MovingObjectService::~MovingObjectService() {
   {
@@ -109,16 +82,10 @@ void MovingObjectService::InitTelemetry() {
   query_sheds_[0] = registry_->counter("service.shed.prq");
   query_sheds_[1] = registry_->counter("service.shed.pknn");
   queue_depth_ = registry_->gauge("service.queue_depth");
-  // Capability-gated instruments stay unregistered when the capability is
-  // off — an instrument that CANNOT move must not read zero forever.
-  if (monitor_ != nullptr) {
-    continuous_fed_ = registry_->counter("service.continuous.updates_fed");
-    continuous_events_ = registry_->counter("service.continuous.events");
-  }
-  if (catalog_ != nullptr) {
-    reencode_ms_ = registry_->histogram("service.reencode_ms");
-    reencode_rekeys_ = registry_->counter("service.reencode.rekeys");
-  }
+  continuous_fed_ = registry_->counter("service.continuous.updates_fed");
+  continuous_events_ = registry_->counter("service.continuous.events");
+  reencode_ms_ = registry_->histogram("service.reencode_ms");
+  reencode_rekeys_ = registry_->counter("service.reencode.rekeys");
   trace_sample_every_.store(t.trace_sample_every, std::memory_order_relaxed);
   if (t.slow_log_capacity > 0) {
     slow_log_ =
@@ -367,12 +334,6 @@ QueryResponse MovingObjectService::DoContinuousRegister(
     const QueryRequest& request) {
   QueryResponse response;
   response.kind = request.kind;
-  if (monitor_ == nullptr) {
-    response.status = Status::NotSupported(
-        "continuous queries need the service constructed with policies, "
-        "roles, and encoding");
-    return response;
-  }
   const bool collect = request.options.collect_counters;
   QueryStats stats;  // Always gathered: see DoRange on epoch pinning.
 
@@ -406,12 +367,6 @@ QueryResponse MovingObjectService::DoContinuousCancel(
     const QueryRequest& request) {
   QueryResponse response;
   response.kind = request.kind;
-  if (monitor_ == nullptr) {
-    response.status = Status::NotSupported(
-        "continuous queries need the service constructed with policies, "
-        "roles, and encoding");
-    return response;
-  }
   MutexLock continuous_lock(&continuous_mu_);
   response.status = monitor_->Unregister(request.continuous_id);
   // Cancellation touches no index keys; the current epoch suffices.
@@ -462,7 +417,7 @@ Status MovingObjectService::ReencodeAndAdopt(Timestamp now,
   // Standing queries reconcile against the new epoch. Same locking shape
   // as AdvanceContinuous (the caller already holds continuous_mu_): the
   // monitor re-reads object states through the index.
-  if (monitor_ != nullptr) {
+  {
     SharedOrExclusiveLock index_lock(&index_mu_,
                                      !index_->SupportsConcurrentQueries());
     PEB_RETURN_NOT_OK(monitor_->AdoptSnapshot(result.snapshot, now));
@@ -476,11 +431,6 @@ QueryResponse MovingObjectService::DoPolicyLifecycle(
     const QueryRequest& request) {
   QueryResponse response;
   response.kind = request.kind;
-  if (catalog_ == nullptr) {
-    response.status = Status::NotSupported(
-        "policy mutations need a service constructed over a PolicyCatalog");
-    return response;
-  }
 
   // Lock order (as for continuous registration): continuous state first,
   // then the index. Serializes lifecycle requests against each other and
@@ -545,12 +495,7 @@ Status MovingObjectService::ApplyUpdate(const MovingObject& state,
     WriterMutexLock lock(&index_mu_);
     PEB_RETURN_NOT_OK(index_->Update(state));
   }
-  if (monitor_ != nullptr) {
-    MutexLock continuous_lock(&continuous_mu_);
-    telemetry::Inc(continuous_fed_);
-    PEB_RETURN_NOT_OK(monitor_->OnUpdate(state, now));
-  }
-  return Status::OK();
+  return NotifyUpdated(state, now);
 }
 
 Status MovingObjectService::ApplyBatch(
@@ -570,7 +515,6 @@ Status MovingObjectService::ApplyBatch(
 
 Status MovingObjectService::NotifyUpdated(const MovingObject& state,
                                           Timestamp now) {
-  if (monitor_ == nullptr) return Status::OK();
   MutexLock continuous_lock(&continuous_mu_);
   telemetry::Inc(continuous_fed_);
   return monitor_->OnUpdate(state, now);
@@ -578,7 +522,6 @@ Status MovingObjectService::NotifyUpdated(const MovingObject& state,
 
 void MovingObjectService::FeedContinuous(
     const std::vector<UpdateEvent>& events) {
-  if (monitor_ == nullptr) return;
   MutexLock continuous_lock(&continuous_mu_);
   telemetry::Inc(continuous_fed_, events.size());
   for (const UpdateEvent& ev : events) {
@@ -602,20 +545,10 @@ MovingObjectService::UpdateSession MovingObjectService::OpenUpdateSession(
   session.service_ = this;
   session.stream_ = stream;
   session.batch_size_ = batch_size == 0 ? 1 : batch_size;
-  if (engine_ != nullptr) {
-    engine::BatchApplierOptions opts;
-    opts.batch_size = session.batch_size_;
-    opts.on_batch = [this](const std::vector<UpdateEvent>& events) {
-      FeedContinuous(events);
-    };
-    session.applier_ = std::make_unique<engine::BatchUpdateApplier>(
-        engine_, stream, opts);
-  }
   return session;
 }
 
 Status MovingObjectService::UpdateSession::Apply(size_t count) {
-  if (applier_ != nullptr) return applier_->Apply(count);
   std::vector<UpdateEvent> batch;
   while (count > 0) {
     size_t n = count < batch_size_ ? count : batch_size_;
@@ -631,34 +564,17 @@ Status MovingObjectService::UpdateSession::Apply(size_t count) {
   return Status::OK();
 }
 
-size_t MovingObjectService::UpdateSession::events_applied() const {
-  return applier_ != nullptr ? applier_->events_applied() : events_applied_;
-}
-
-size_t MovingObjectService::UpdateSession::batches_applied() const {
-  return applier_ != nullptr ? applier_->batches_applied() : batches_applied_;
-}
-
-Timestamp MovingObjectService::UpdateSession::last_event_time() const {
-  return applier_ != nullptr ? applier_->last_event_time()
-                             : last_event_time_;
-}
-
 // ---------------------------------------------------------------------------
 // Continuous-query observers
 // ---------------------------------------------------------------------------
 
 Result<std::vector<UserId>> MovingObjectService::ContinuousResult(
     ContinuousQueryId id) const {
-  if (monitor_ == nullptr) {
-    return Status::NotSupported("continuous queries disabled");
-  }
   MutexLock continuous_lock(&continuous_mu_);
   return monitor_->ResultOf(id);
 }
 
 std::vector<ContinuousQueryEvent> MovingObjectService::TakeContinuousEvents() {
-  if (monitor_ == nullptr) return {};
   MutexLock continuous_lock(&continuous_mu_);
   std::vector<ContinuousQueryEvent> events = monitor_->TakeEvents();
   telemetry::Inc(continuous_events_, events.size());
@@ -666,9 +582,6 @@ std::vector<ContinuousQueryEvent> MovingObjectService::TakeContinuousEvents() {
 }
 
 Status MovingObjectService::AdvanceContinuous(Timestamp now) {
-  if (monitor_ == nullptr) {
-    return Status::NotSupported("continuous queries disabled");
-  }
   // Same locking shape as registration: shared index access suffices for
   // a concurrency-capable index (Advance only reads via GetObject).
   MutexLock continuous_lock(&continuous_mu_);
@@ -678,7 +591,6 @@ Status MovingObjectService::AdvanceContinuous(Timestamp now) {
 }
 
 size_t MovingObjectService::num_continuous_queries() const {
-  if (monitor_ == nullptr) return 0;
   MutexLock continuous_lock(&continuous_mu_);
   return monitor_->num_queries();
 }

@@ -12,14 +12,14 @@
 //    pool (its own, NOT the engine's — engine workers must stay free for
 //    shard fan-out, or a full service pool could deadlock waiting on
 //    itself).
-//  * OpenUpdateSession     — batched update ingestion wrapping
-//    BatchUpdateApplier, feeding engine-wide continuous queries.
+//  * OpenUpdateSession     — batched update ingestion through ApplyBatch,
+//    feeding engine-wide continuous queries.
 //  * Continuous queries    — registered through QueryRequests, maintained
 //    by a ContinuousQueryMonitor lifted over the whole index (sharded
 //    engine included), fed from the update path in stream order so event
 //    streams are identical for any shard count.
-//  * Policy lifecycle      — when constructed over a PolicyCatalog, the
-//    service accepts AddPolicy/RemovePolicy/DefineRole/Reencode requests:
+//  * Policy lifecycle      — the service fronts a PolicyCatalog and
+//    accepts AddPolicy/RemovePolicy/DefineRole/Reencode requests:
 //    mutations run atomically with respect to queries (the engine's
 //    exclusive state lock / the service index lock), the catalog derives
 //    the next snapshot incrementally, the index re-keys only the users
@@ -51,7 +51,6 @@
 #include "bxtree/privacy_index.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "engine/batch_applier.h"
 #include "engine/sharded_engine.h"
 #include "engine/thread_pool.h"
 #include "motion/update_stream.h"
@@ -84,10 +83,9 @@ struct ServiceOptions {
 
 class MovingObjectService {
  public:
-  /// The full-lifecycle service: queries, continuous queries, AND online
-  /// policy mutations, all against `catalog`'s live policy state. The
-  /// index must have been built from one of the catalog's snapshots; both
-  /// must outlive the service.
+  /// Queries, continuous queries, AND online policy mutations, all against
+  /// `catalog`'s live policy state. The index must have been built from one
+  /// of the catalog's snapshots; both must outlive the service.
   ///
   /// A mutation re-keys THIS service's index only. Sibling indexes sharing
   /// the catalog (e.g. a workload's baseline) must re-sync afterwards via
@@ -96,19 +94,6 @@ class MovingObjectService {
   /// the fronted index.
   MovingObjectService(PrivacyAwareIndex* index, PolicyCatalog* catalog,
                       ServiceOptions options = {});
-
-  /// Static-world service: `store`/`roles`/`encoding` enable continuous-
-  /// query requests (pass the workload's; nullptr disables them with
-  /// NotSupported); policy mutations answer NotSupported. All referenced
-  /// objects must outlive the service.
-  MovingObjectService(PrivacyAwareIndex* index, const PolicyStore* store,
-                      const RoleRegistry* roles,
-                      const PolicyEncoding* encoding,
-                      ServiceOptions options = {});
-
-  /// Convenience: queries only (continuous requests -> NotSupported).
-  explicit MovingObjectService(PrivacyAwareIndex* index,
-                               ServiceOptions options = {});
 
   MovingObjectService(const MovingObjectService&) = delete;
   MovingObjectService& operator=(const MovingObjectService&) = delete;
@@ -146,19 +131,18 @@ class MovingObjectService {
   /// through ApplyUpdate/ApplyBatch/update sessions). No index mutation.
   Status NotifyUpdated(const MovingObject& state, Timestamp now);
 
-  /// A batched update-ingestion session over an UpdateStream. Wraps
-  /// engine::BatchUpdateApplier when the service fronts a ShardedPebEngine
-  /// (the applier's on_batch hook feeds the continuous monitor); falls
-  /// back to service-level batching for single-tree indexes.
+  /// A batched update-ingestion session over an UpdateStream: each batch
+  /// goes through ApplyBatch, so it is applied atomically with respect to
+  /// queries and fed to continuous queries in stream order.
   class UpdateSession {
    public:
     /// Applies `count` events in batches.
     Status Apply(size_t count);
 
-    size_t events_applied() const;
-    size_t batches_applied() const;
+    size_t events_applied() const { return events_applied_; }
+    size_t batches_applied() const { return batches_applied_; }
     /// Timestamp of the most recently applied event (0 before any).
-    Timestamp last_event_time() const;
+    Timestamp last_event_time() const { return last_event_time_; }
 
    private:
     friend class MovingObjectService;
@@ -167,9 +151,6 @@ class MovingObjectService {
     MovingObjectService* service_ = nullptr;
     UpdateStream* stream_ = nullptr;
     size_t batch_size_ = 1024;
-    /// Engine path: the wrapped applier. Null for single-tree indexes.
-    std::unique_ptr<engine::BatchUpdateApplier> applier_;
-    /// Fallback-path bookkeeping (the applier tracks its own).
     size_t events_applied_ = 0;
     size_t batches_applied_ = 0;
     Timestamp last_event_time_ = 0.0;
@@ -255,8 +236,8 @@ class MovingObjectService {
 
   /// Resolves every service instrument eagerly (a disconnected instrument
   /// then reads zero in snapshots instead of being silently absent) and
-  /// starts the stats-dumper thread when configured. Called once from
-  /// every constructor.
+  /// starts the stats-dumper thread when configured. Called once from the
+  /// constructor.
   void InitTelemetry();
 
   /// Whether this request should carry a span tree: forced per-request or
@@ -272,10 +253,8 @@ class MovingObjectService {
   /// Set when `index_` is a ShardedPebEngine: enables the engine batch
   /// update path and lock-free (shared) query execution.
   engine::ShardedPebEngine* engine_;
-  /// Set by the lifecycle constructor: enables policy mutation requests.
+  /// The live policy state this service mutates and verifies against.
   PolicyCatalog* catalog_;
-  const PolicyStore* store_;
-  const RoleRegistry* roles_;
   ServiceOptions options_;
 
   /// Query/update coordination for indexes without internal thread-safety:
@@ -285,7 +264,7 @@ class MovingObjectService {
 
   /// Continuous-query state (the monitor is single-threaded by contract;
   /// this mutex IS its serialization). The pointer itself is set once at
-  /// construction; only the pointee is guarded.
+  /// construction and never null; only the pointee is guarded.
   mutable Mutex continuous_mu_;
   std::unique_ptr<ContinuousQueryMonitor> monitor_ PT_GUARDED_BY(continuous_mu_);
   /// Stream clock of the last batch event fed to the monitor. FeedContinuous

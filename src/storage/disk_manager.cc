@@ -2,10 +2,12 @@
 
 #include <fcntl.h>
 #include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 
 #include "common/crc32.h"
@@ -133,7 +135,7 @@ FileDiskManager::FileDiskManager(std::string path, FileDiskOptions options) {
 
 FileDiskManager::~FileDiskManager() {
   if (map_ != nullptr) ::munmap(map_, mapped_bytes_);
-  if (file_ != nullptr) std::fclose(file_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
 void FileDiskManager::CreateNew(std::string path, FileDiskOptions options) {
@@ -146,13 +148,12 @@ void FileDiskManager::CreateNew(std::string path, FileDiskOptions options) {
                 "overwrite_existing to recreate it");
     return;
   }
-  file_ = std::fopen(path_.c_str(), "w+b");
-  if (file_ == nullptr) {
+  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0666);
+  if (fd_ < 0) {
     status_ = Status::IOError("cannot open " + path_ + ": " +
                               std::strerror(errno));
     return;
   }
-  fd_ = ::fileno(file_);
   status_ = EnsureCapacity(2 * kPageSize);
   if (!status_.ok()) return;
   // An empty generation-1 checkpoint, so a crash right after creation
@@ -171,36 +172,31 @@ Result<std::unique_ptr<FileDiskManager>> FileDiskManager::OpenExisting(
 Status FileDiskManager::OpenImpl(std::string path, FileDiskOptions options) {
   path_ = std::move(path);
   options_ = options;
-  file_ = std::fopen(path_.c_str(), "r+b");
-  if (file_ == nullptr) {
+  fd_ = ::open(path_.c_str(), O_RDWR);
+  if (fd_ < 0) {
     status_ = Status::IOError("cannot open existing " + path_ + ": " +
                               std::strerror(errno));
     return status_;
   }
-  fd_ = ::fileno(file_);
-  if (std::fseek(file_, 0, SEEK_END) != 0) {
-    return status_ = Status::IOError("fseek to end failed for " + path_);
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) {
+    return status_ = Status::IOError("fstat failed for " + path_ + ": " +
+                                     std::strerror(errno));
   }
-  long size = std::ftell(file_);
-  if (size < 0) {
-    return status_ = Status::IOError("ftell failed for " + path_);
-  }
-  file_bytes_ = static_cast<uint64_t>(size);
+  file_bytes_ = static_cast<uint64_t>(st.st_size);
   if (file_bytes_ < 2 * kPageSize) {
     return status_ = Status::Corruption(
                path_ + " is too small to hold a superblock (" +
                std::to_string(file_bytes_) + " bytes)");
   }
-  if (options_.use_mmap) {
-    void* map = ::mmap(nullptr, file_bytes_, PROT_READ | PROT_WRITE,
-                       MAP_SHARED, fd_, 0);
-    if (map == MAP_FAILED) {
-      return status_ = Status::IOError("mmap failed for " + path_ + ": " +
-                                       std::strerror(errno));
-    }
-    map_ = static_cast<std::byte*>(map);
-    mapped_bytes_ = file_bytes_;
+  void* map = ::mmap(nullptr, file_bytes_, PROT_READ | PROT_WRITE, MAP_SHARED,
+                     fd_, 0);
+  if (map == MAP_FAILED) {
+    return status_ = Status::IOError("mmap failed for " + path_ + ": " +
+                                     std::strerror(errno));
   }
+  map_ = static_cast<std::byte*>(map);
+  mapped_bytes_ = file_bytes_;
 
   // Pick the valid superblock slot with the highest generation. A torn
   // superblock write fails its CRC and the previous generation wins.
@@ -317,29 +313,13 @@ Status FileDiskManager::OpenImpl(std::string path, FileDiskOptions options) {
 Status FileDiskManager::PhysicalWrite(uint64_t offset, const void* data,
                                       size_t len) {
   PEB_RETURN_NOT_OK(EnsureCapacity(offset + len));
-  if (options_.use_mmap) {
-    std::memcpy(map_ + offset, data, len);
-    return Status::OK();
-  }
-  if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
-    return Status::IOError("fseek failed at offset " + std::to_string(offset) +
-                           " in " + path_);
-  }
-  if (std::fwrite(data, 1, len, file_) != len) {
-    return Status::IOError("short write at offset " + std::to_string(offset) +
-                           " in " + path_);
-  }
+  std::memcpy(map_ + offset, data, len);
   return Status::OK();
 }
 
 Status FileDiskManager::PhysicalSync() {
-  if (options_.use_mmap) {
-    if (map_ != nullptr && ::msync(map_, mapped_bytes_, MS_SYNC) != 0) {
-      return Status::IOError("msync failed for " + path_ + ": " +
-                             std::strerror(errno));
-    }
-  } else if (std::fflush(file_) != 0) {
-    return Status::IOError("fflush failed for " + path_ + ": " +
+  if (map_ != nullptr && ::msync(map_, mapped_bytes_, MS_SYNC) != 0) {
+    return Status::IOError("msync failed for " + path_ + ": " +
                            std::strerror(errno));
   }
   if (::fsync(fd_) != 0) {
@@ -350,29 +330,12 @@ Status FileDiskManager::PhysicalSync() {
 }
 
 Status FileDiskManager::PhysicalRead(uint64_t offset, void* data, size_t len) {
-  if (options_.use_mmap) {
-    if (offset + len > file_bytes_) {
-      return Status::IOError("short read at offset " + std::to_string(offset) +
-                             " in " + path_ + " (unexpected end of file)");
-    }
-    std::memcpy(data, map_ + offset, len);
-    return Status::OK();
+  if (offset + len > file_bytes_) {
+    return Status::IOError("short read at offset " + std::to_string(offset) +
+                           " in " + path_ + " (unexpected end of file)");
   }
-  if (std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0) {
-    return Status::IOError("fseek failed at offset " + std::to_string(offset) +
-                           " in " + path_);
-  }
-  const size_t got = std::fread(data, 1, len, file_);
-  if (got == len) return Status::OK();
-  // The satellite contract: a short read (end of file) and a device error
-  // are different failures and get different messages.
-  if (std::ferror(file_)) {
-    std::clearerr(file_);
-    return Status::IOError("read error at offset " + std::to_string(offset) +
-                           " in " + path_ + ": " + std::strerror(errno));
-  }
-  return Status::IOError("short read at offset " + std::to_string(offset) +
-                         " in " + path_ + " (unexpected end of file)");
+  std::memcpy(data, map_ + offset, len);
+  return Status::OK();
 }
 
 Status FileDiskManager::EnsureCapacity(uint64_t bytes) {
@@ -384,20 +347,18 @@ Status FileDiskManager::EnsureCapacity(uint64_t bytes) {
                            " bytes failed for " + path_ + ": " +
                            std::strerror(errno));
   }
-  if (options_.use_mmap) {
-    if (map_ != nullptr) ::munmap(map_, mapped_bytes_);
-    map_ = nullptr;
-    mapped_bytes_ = 0;
-    void* map =
-        ::mmap(nullptr, grown, PROT_READ | PROT_WRITE, MAP_SHARED, fd_, 0);
-    if (map == MAP_FAILED) {
-      return Status::IOError("mmap of " + std::to_string(grown) +
-                             " bytes failed for " + path_ + ": " +
-                             std::strerror(errno));
-    }
-    map_ = static_cast<std::byte*>(map);
-    mapped_bytes_ = grown;
+  if (map_ != nullptr) ::munmap(map_, mapped_bytes_);
+  map_ = nullptr;
+  mapped_bytes_ = 0;
+  void* map =
+      ::mmap(nullptr, grown, PROT_READ | PROT_WRITE, MAP_SHARED, fd_, 0);
+  if (map == MAP_FAILED) {
+    return Status::IOError("mmap of " + std::to_string(grown) +
+                           " bytes failed for " + path_ + ": " +
+                           std::strerror(errno));
   }
+  map_ = static_cast<std::byte*>(map);
+  mapped_bytes_ = grown;
   file_bytes_ = grown;
   return Status::OK();
 }

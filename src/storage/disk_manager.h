@@ -9,8 +9,7 @@
 //     not-yet-committed overlay for WAL page-image capture.
 //   * FileDiskManager — the durable implementation: a real file with dual
 //     CRC-protected superblocks, mmap'd I/O with ftruncate capacity
-//     doubling (stdio fallback behind FileDiskOptions::use_mmap), and a
-//     persisted free list.
+//     doubling, and a persisted free list.
 //
 // Crash-safety model (no-steal): every Write()/Allocate()/Free() between
 // checkpoints lands in an in-RAM overlay; the backing file changes ONLY
@@ -49,7 +48,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <map>
 #include <memory>
@@ -162,9 +160,6 @@ class DurableDiskManager : public DiskManager {
 };
 
 struct FileDiskOptions {
-  /// Use mmap + ftruncate doubling for file I/O; false selects the portable
-  /// stdio (fseek/fread/fwrite) path.
-  bool use_mmap = true;
   /// Allow create-mode construction to truncate a path that already holds a
   /// valid database. Off (the default) fails creation instead: reopening a
   /// database goes through OpenExisting, and silently recreating over one
@@ -231,7 +226,7 @@ class FileDiskManager : public DurableDiskManager {
   /// through here, which is the fault-injection seam.
   virtual Status PhysicalWrite(uint64_t offset, const void* data, size_t len);
 
-  /// Durably flushes the backing file (msync + fsync, or fflush + fsync).
+  /// Durably flushes the backing file (msync + fsync).
   virtual Status PhysicalSync();
 
   /// Create-mode initialization: truncates the file and commits an empty
@@ -244,8 +239,8 @@ class FileDiskManager : public DurableDiskManager {
  private:
   Status CheckLive(PageId id) const;
 
-  /// Reads `len` bytes at byte `offset`; distinguishes reading past the end
-  /// of the file (short read) from an I/O error.
+  /// Reads `len` bytes at byte `offset`; reading past the end of the file
+  /// is an IOError.
   Status PhysicalRead(uint64_t offset, void* data, size_t len);
 
   /// Grows the file (and the mapping) to hold at least `bytes`, doubling.
@@ -257,11 +252,10 @@ class FileDiskManager : public DurableDiskManager {
 
   std::string path_;
   FileDiskOptions options_;
-  std::FILE* file_ = nullptr;
   int fd_ = -1;
   Status status_;
 
-  // mmap state (use_mmap only).
+  // The whole file is mapped; remapped whenever EnsureCapacity grows it.
   std::byte* map_ = nullptr;
   uint64_t mapped_bytes_ = 0;
   uint64_t file_bytes_ = 0;

@@ -22,7 +22,7 @@ namespace {
 /// (morning-only policy window).
 struct TinyWorld {
   GeneratedPolicies gp;
-  std::unique_ptr<PolicyEncoding> enc;
+  std::shared_ptr<const EncodingSnapshot> enc;
   InMemoryDiskManager disk;
   std::unique_ptr<BufferPool> pool;
   std::unique_ptr<PebTree> tree;
@@ -41,15 +41,15 @@ struct TinyWorld {
 
     CompatibilityOptions compat;
     SvQuantizer quant(64.0, 26);
-    enc = std::make_unique<PolicyEncoding>(
-        PolicyEncoding::Build(gp.store, 3, compat, {}, quant));
+    enc = std::make_shared<const EncodingSnapshot>(
+        EncodingSnapshot::Build(gp.store, 3, compat, {}, quant));
     pool = std::make_unique<BufferPool>(&disk, BufferPoolOptions{16});
     PebTreeOptions opt;
     opt.index.grid_bits = 8;
     tree = std::make_unique<PebTree>(pool.get(), opt, &gp.store, &gp.roles,
-                                     enc.get());
+                                     enc);
     monitor = std::make_unique<ContinuousQueryMonitor>(
-        tree.get(), &gp.store, &gp.roles, enc.get());
+        tree.get(), &gp.store, &gp.roles, enc);
   }
 };
 
@@ -165,15 +165,16 @@ TEST(ContinuousQuery, MatchesRepeatedOneShotQueriesUnderChurn) {
   GeneratedPolicies gp = GeneratePolicies(pg);
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
-  auto enc = PolicyEncoding::Build(gp.store, users, compat, {}, quant);
+  auto enc = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(gp.store, users, compat, {}, quant));
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{64});
   PebTreeOptions opt;
   opt.index.grid_bits = 8;
-  PebTree tree(&pool, opt, &gp.store, &gp.roles, &enc);
+  PebTree tree(&pool, opt, &gp.store, &gp.roles, enc);
   for (const auto& o : ds.objects) ASSERT_TRUE(tree.Insert(o).ok());
 
-  ContinuousQueryMonitor monitor(&tree, &gp.store, &gp.roles, &enc);
+  ContinuousQueryMonitor monitor(&tree, &gp.store, &gp.roles, enc);
   Rng rng(7);
   std::vector<ContinuousQueryId> ids;
   std::vector<std::pair<UserId, Rect>> specs;
@@ -278,14 +279,15 @@ TEST(BfsEncoding, QueriesStayCorrectUnderBfsStrategy) {
   GeneratedPolicies gp = GeneratePolicies(pg);
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
-  auto enc = PolicyEncoding::Build(gp.store, users, compat, {}, quant,
-                                   SequenceStrategy::kBfsTraversal);
+  auto enc = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(gp.store, users, compat, {}, quant,
+                              SequenceStrategy::kBfsTraversal));
 
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{64});
   PebTreeOptions opt;
   opt.index.grid_bits = 8;
-  PebTree tree(&pool, opt, &gp.store, &gp.roles, &enc);
+  PebTree tree(&pool, opt, &gp.store, &gp.roles, enc);
   for (const auto& o : ds.objects) ASSERT_TRUE(tree.Insert(o).ok());
 
   Rng rng(23);

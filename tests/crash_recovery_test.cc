@@ -159,7 +159,7 @@ class CrashRecoveryTest : public ::testing::Test {
   std::unique_ptr<ShardedPebEngine> BuildOracle(size_t committed) const {
     auto oracle = std::make_unique<ShardedPebEngine>(
         OracleOptions(), &world_->store(), &world_->roles(),
-        world_->catalog().snapshot());
+        world_->catalog()->snapshot());
     EXPECT_TRUE(oracle->LoadDataset(world_->dataset()).ok());
     for (size_t b = 0; b < committed; ++b) {
       EXPECT_TRUE(oracle->ApplyBatch((*batches_)[b]).ok()) << "batch " << b;
@@ -244,7 +244,7 @@ class CrashRecoveryTest : public ::testing::Test {
                                         false);
     opts.tree.index.paranoid_checks = paranoid;
     return ShardedPebEngine::Open(opts, &world_->store(), &world_->roles(),
-                                  world_->catalog().snapshot());
+                                  world_->catalog()->snapshot());
   }
 
   /// Crash-after-N-durable-writes scenario, shared by several tests:
@@ -256,7 +256,7 @@ class CrashRecoveryTest : public ::testing::Test {
     {
       auto engine = std::make_unique<ShardedPebEngine>(
           DurableOptions(&injector, /*checkpoint_on_close=*/false),
-          &world_->store(), &world_->roles(), world_->catalog().snapshot());
+          &world_->store(), &world_->roles(), world_->catalog()->snapshot());
       ASSERT_TRUE(engine->durability_status().ok());
       ASSERT_TRUE(engine->LoadDataset(world_->dataset()).ok());
       injector.torn_on_crash.store(torn);
@@ -277,11 +277,11 @@ class CrashRecoveryTest : public ::testing::Test {
   }
 
   std::string path_;
-  static const Workload* world_;
+  static Workload* world_;
   static std::vector<std::vector<UpdateEvent>>* batches_;
 };
 
-const Workload* CrashRecoveryTest::world_ = nullptr;
+Workload* CrashRecoveryTest::world_ = nullptr;
 std::vector<std::vector<UpdateEvent>>* CrashRecoveryTest::batches_ = nullptr;
 
 // ---------------------------------------------------------------------------
@@ -310,7 +310,7 @@ TEST_F(CrashRecoveryTest, EioOnWalSync) {
   {
     auto engine = std::make_unique<ShardedPebEngine>(
         DurableOptions(&injector, /*checkpoint_on_close=*/false),
-        &world_->store(), &world_->roles(), world_->catalog().snapshot());
+        &world_->store(), &world_->roles(), world_->catalog()->snapshot());
     ASSERT_TRUE(engine->LoadDataset(world_->dataset()).ok());
     committed = 3;
     for (size_t b = 0; b < committed; ++b) {
@@ -343,7 +343,7 @@ TEST_F(CrashRecoveryTest, CleanShutdownEmptyWalReopens) {
   {
     auto engine = std::make_unique<ShardedPebEngine>(
         DurableOptions(nullptr, /*checkpoint_on_close=*/true),
-        &world_->store(), &world_->roles(), world_->catalog().snapshot());
+        &world_->store(), &world_->roles(), world_->catalog()->snapshot());
     ASSERT_TRUE(engine->LoadDataset(world_->dataset()).ok());
     ASSERT_TRUE(engine->ApplyBatch((*batches_)[0]).ok());
     ASSERT_TRUE(engine->ApplyBatch((*batches_)[1]).ok());
@@ -372,7 +372,7 @@ TEST_F(CrashRecoveryTest, TornFinalWalRecordDropsOnlyLastBatch) {
   {
     auto engine = std::make_unique<ShardedPebEngine>(
         DurableOptions(nullptr, /*checkpoint_on_close=*/false),
-        &world_->store(), &world_->roles(), world_->catalog().snapshot());
+        &world_->store(), &world_->roles(), world_->catalog()->snapshot());
     ASSERT_TRUE(engine->LoadDataset(world_->dataset()).ok());
     for (size_t b = 0; b < 4; ++b) {
       ASSERT_TRUE(engine->ApplyBatch((*batches_)[b]).ok());
@@ -405,7 +405,7 @@ TEST_F(CrashRecoveryTest, ParanoidChecksReopen) {
   {
     auto engine = std::make_unique<ShardedPebEngine>(
         DurableOptions(&injector, /*checkpoint_on_close=*/false),
-        &world_->store(), &world_->roles(), world_->catalog().snapshot());
+        &world_->store(), &world_->roles(), world_->catalog()->snapshot());
     ASSERT_TRUE(engine->LoadDataset(world_->dataset()).ok());
     injector.writes_until_crash.store(6);
     committed = ApplyUntilCrash(*engine);
@@ -425,7 +425,7 @@ TEST_F(CrashRecoveryTest, DoubleCrashDuringRecoveryConverges) {
   {
     auto engine = std::make_unique<ShardedPebEngine>(
         DurableOptions(&injector, /*checkpoint_on_close=*/false),
-        &world_->store(), &world_->roles(), world_->catalog().snapshot());
+        &world_->store(), &world_->roles(), world_->catalog()->snapshot());
     ASSERT_TRUE(engine->LoadDataset(world_->dataset()).ok());
     injector.writes_until_crash.store(7);
     committed = ApplyUntilCrash(*engine);
@@ -457,7 +457,7 @@ TEST_F(CrashRecoveryTest, ContinuousEventStreamsMatchAfterRecovery) {
   {
     auto engine = std::make_unique<ShardedPebEngine>(
         DurableOptions(&injector, /*checkpoint_on_close=*/false),
-        &world_->store(), &world_->roles(), world_->catalog().snapshot());
+        &world_->store(), &world_->roles(), world_->catalog()->snapshot());
     ASSERT_TRUE(engine->LoadDataset(world_->dataset()).ok());
     injector.writes_until_crash.store(4);
     committed = ApplyUntilCrash(*engine);
@@ -470,10 +470,8 @@ TEST_F(CrashRecoveryTest, ContinuousEventStreamsMatchAfterRecovery) {
   // Identical continuous-query behavior from the recovered state on: both
   // services register the same standing query, apply the same remaining
   // batches, and must emit identical membership event streams.
-  MovingObjectService recovered_svc(reopened->get(), &world_->store(),
-                                    &world_->roles(), &world_->encoding());
-  MovingObjectService oracle_svc(oracle.get(), &world_->store(),
-                                 &world_->roles(), &world_->encoding());
+  MovingObjectService recovered_svc(reopened->get(), world_->catalog());
+  MovingObjectService oracle_svc(oracle.get(), world_->catalog());
   const Rect district = Rect::CenteredSquare({500, 500}, 320.0);
   const Timestamp t0 = QueryTime(durable);
   auto reg_a = recovered_svc.Execute(
@@ -505,7 +503,7 @@ TEST_F(CrashRecoveryTest, CheckpointTruncatesWalAndSurvivesReopen) {
   {
     auto engine = std::make_unique<ShardedPebEngine>(
         DurableOptions(nullptr, /*checkpoint_on_close=*/false),
-        &world_->store(), &world_->roles(), world_->catalog().snapshot());
+        &world_->store(), &world_->roles(), world_->catalog()->snapshot());
     ASSERT_TRUE(engine->LoadDataset(world_->dataset()).ok());
     ASSERT_TRUE(engine->ApplyBatch((*batches_)[0]).ok());
     auto wal = WriteAheadLog::ReadAll(path_ + ".wal");
@@ -534,7 +532,7 @@ TEST_F(CrashRecoveryTest, FailedOpenLeavesDatabaseIntact) {
   {
     auto engine = std::make_unique<ShardedPebEngine>(
         DurableOptions(nullptr, /*checkpoint_on_close=*/true),
-        &world_->store(), &world_->roles(), world_->catalog().snapshot());
+        &world_->store(), &world_->roles(), world_->catalog()->snapshot());
     ASSERT_TRUE(engine->LoadDataset(world_->dataset()).ok());
     ASSERT_TRUE(engine->ApplyBatch((*batches_)[0]).ok());
   }
@@ -545,7 +543,7 @@ TEST_F(CrashRecoveryTest, FailedOpenLeavesDatabaseIntact) {
   wrong_shards.num_shards = 5;
   auto open = ShardedPebEngine::Open(wrong_shards, &world_->store(),
                                      &world_->roles(),
-                                     world_->catalog().snapshot());
+                                     world_->catalog()->snapshot());
   ASSERT_FALSE(open.ok());
   // The database survived: a correctly configured open still matches the
   // oracle.
@@ -562,13 +560,13 @@ TEST_F(CrashRecoveryTest, FreshEngineRefusesExistingDatabase) {
   {
     auto engine = std::make_unique<ShardedPebEngine>(
         DurableOptions(nullptr, /*checkpoint_on_close=*/true),
-        &world_->store(), &world_->roles(), world_->catalog().snapshot());
+        &world_->store(), &world_->roles(), world_->catalog()->snapshot());
     ASSERT_TRUE(engine->LoadDataset(world_->dataset()).ok());
     ASSERT_TRUE(engine->ApplyBatch((*batches_)[0]).ok());
   }
   {
     ShardedPebEngine clobber(DurableOptions(nullptr, true), &world_->store(),
-                             &world_->roles(), world_->catalog().snapshot());
+                             &world_->roles(), world_->catalog()->snapshot());
     EXPECT_FALSE(clobber.durability_status().ok());
   }
   auto reopened = Reopen();
@@ -581,7 +579,7 @@ TEST_F(CrashRecoveryTest, OpenRejectsBadConfigurations) {
   {
     auto engine = std::make_unique<ShardedPebEngine>(
         DurableOptions(nullptr, /*checkpoint_on_close=*/true),
-        &world_->store(), &world_->roles(), world_->catalog().snapshot());
+        &world_->store(), &world_->roles(), world_->catalog()->snapshot());
     ASSERT_TRUE(engine->LoadDataset(world_->dataset()).ok());
   }
   // Shard-count mismatch.
@@ -589,17 +587,17 @@ TEST_F(CrashRecoveryTest, OpenRejectsBadConfigurations) {
   wrong_shards.num_shards = 5;
   auto open = ShardedPebEngine::Open(wrong_shards, &world_->store(),
                                      &world_->roles(),
-                                     world_->catalog().snapshot());
+                                     world_->catalog()->snapshot());
   EXPECT_FALSE(open.ok());
   // Missing path.
   EngineOptions no_path = DurableOptions(nullptr, false);
   no_path.durability.path.clear();
   open = ShardedPebEngine::Open(no_path, &world_->store(), &world_->roles(),
-                                world_->catalog().snapshot());
+                                world_->catalog()->snapshot());
   EXPECT_TRUE(open.status().IsInvalidArgument());
   // In-memory engines reject Checkpoint().
   ShardedPebEngine mem(OracleOptions(), &world_->store(), &world_->roles(),
-                       world_->catalog().snapshot());
+                       world_->catalog()->snapshot());
   EXPECT_TRUE(mem.Checkpoint().IsInvalidArgument());
 }
 

@@ -20,7 +20,7 @@ namespace {
 /// space — queries reduce to plain spatial semantics.
 struct OpenWorld {
   GeneratedPolicies gp;
-  std::unique_ptr<PolicyEncoding> enc;
+  std::shared_ptr<const EncodingSnapshot> enc;
   InMemoryDiskManager disk;
   std::unique_ptr<BufferPool> pool;
   std::unique_ptr<PebTree> tree;
@@ -41,13 +41,13 @@ struct OpenWorld {
     }
     CompatibilityOptions compat;
     SvQuantizer quant(64.0, 26);
-    enc = std::make_unique<PolicyEncoding>(
-        PolicyEncoding::Build(gp.store, n, compat, {}, quant));
+    enc = std::make_shared<const EncodingSnapshot>(
+        EncodingSnapshot::Build(gp.store, n, compat, {}, quant));
     pool = std::make_unique<BufferPool>(&disk, BufferPoolOptions{32});
     PebTreeOptions opt;
     opt.index.grid_bits = 8;
     tree = std::make_unique<PebTree>(pool.get(), opt, &gp.store, &gp.roles,
-                                     enc.get());
+                                     enc);
     for (const auto& o : ds.objects) EXPECT_TRUE(tree->Insert(o).ok());
   }
 };
@@ -90,12 +90,13 @@ TEST(EdgeCases, ObjectsDriftingOutOfTheSpace) {
   gp.roles.AssignRole(1, 0, r);
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
-  auto enc = PolicyEncoding::Build(gp.store, 2, compat, {}, quant);
+  auto enc = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(gp.store, 2, compat, {}, quant));
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{16});
   PebTreeOptions opt;
   opt.index.grid_bits = 8;
-  PebTree tree(&pool, opt, &gp.store, &gp.roles, &enc);
+  PebTree tree(&pool, opt, &gp.store, &gp.roles, enc);
   for (const auto& o : ds.objects) ASSERT_TRUE(tree.Insert(o).ok());
 
   // Query window hanging past the border catches it.
@@ -163,12 +164,13 @@ TEST(EdgeCases, ZeroAreaAndZeroDurationPolicies) {
 
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
-  auto enc = PolicyEncoding::Build(gp.store, 3, compat, {}, quant);
+  auto enc = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(gp.store, 3, compat, {}, quant));
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{16});
   PebTreeOptions opt;
   opt.index.grid_bits = 8;
-  PebTree tree(&pool, opt, &gp.store, &gp.roles, &enc);
+  PebTree tree(&pool, opt, &gp.store, &gp.roles, enc);
   for (const auto& o : ds.objects) ASSERT_TRUE(tree.Insert(o).ok());
 
   // t=30: user 1 sits exactly on their point region; user 2's instant
@@ -195,12 +197,13 @@ TEST(EdgeCases, MidnightWrappingPolicyAcrossDays) {
   gp.roles.AssignRole(1, 0, r);
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
-  auto enc = PolicyEncoding::Build(gp.store, 2, compat, {}, quant);
+  auto enc = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(gp.store, 2, compat, {}, quant));
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{16});
   PebTreeOptions opt;
   opt.index.grid_bits = 8;
-  PebTree tree(&pool, opt, &gp.store, &gp.roles, &enc);
+  PebTree tree(&pool, opt, &gp.store, &gp.roles, enc);
   for (const auto& o : ds.objects) ASSERT_TRUE(tree.Insert(o).ok());
 
   // 23:50 on day 0 — inside the window.
@@ -238,12 +241,13 @@ TEST(EdgeCases, QueriesAgainstEmptyIndex) {
   gp.roles.AssignRole(1, 0, r);
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
-  auto enc = PolicyEncoding::Build(gp.store, 2, compat, {}, quant);
+  auto enc = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(gp.store, 2, compat, {}, quant));
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{16});
   PebTreeOptions opt;
   opt.index.grid_bits = 8;
-  PebTree tree(&pool, opt, &gp.store, &gp.roles, &enc);
+  PebTree tree(&pool, opt, &gp.store, &gp.roles, enc);
 
   auto got = tree.RangeQuery(0, Rect::Space(1000), 0.0);
   ASSERT_TRUE(got.ok());

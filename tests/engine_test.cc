@@ -10,20 +10,19 @@
 #include <string>
 #include <vector>
 
-#include "engine/batch_applier.h"
 #include "engine/shard_router.h"
 #include "engine/sharded_engine.h"
 #include "engine/thread_pool.h"
 #include "eval/runner.h"
 #include "eval/workload.h"
 #include "pknn_expect.h"
+#include "policy/policy_generator.h"
+#include "service/service.h"
 #include "test_util.h"
 
 namespace peb {
 namespace {
 
-using engine::BatchApplierOptions;
-using engine::BatchUpdateApplier;
 using engine::RouterPolicy;
 using engine::ShardedPebEngine;
 using engine::ThreadPool;
@@ -87,7 +86,8 @@ Workload* EngineWorldTest::world_ = nullptr;
 
 TEST_F(EngineWorldTest, RoutersAreStableAndInRange) {
   for (RouterPolicy policy : {RouterPolicy::kHashUser, RouterPolicy::kSvRange}) {
-    auto router = engine::MakeRouter(policy, 7, &world().encoding());
+    auto router =
+        engine::MakeRouter(policy, 7, world().catalog()->snapshot());
     ASSERT_NE(router, nullptr);
     std::vector<size_t> population(7, 0);
     for (UserId u = 0; u < world().params().num_users; ++u) {
@@ -106,7 +106,7 @@ TEST_F(EngineWorldTest, RoutersAreStableAndInRange) {
 }
 
 TEST_F(EngineWorldTest, SvRangeRouterKeepsEqualSvsTogether) {
-  engine::SvRangeRouter router(4, &world().encoding());
+  engine::SvRangeRouter router(4, world().catalog()->snapshot());
   const auto& enc = world().encoding();
   for (UserId a = 0; a < world().params().num_users; ++a) {
     for (UserId b = a + 1; b < world().params().num_users && b < a + 20; ++b) {
@@ -216,14 +216,13 @@ TEST_P(EngineUpdateTest, MatchesSingleTreeAcrossUpdateBatches) {
   wp.seed = 23;
   Workload w = Workload::Build(wp);
 
-  // Identical event sequences: the applier drains a deterministic clone of
-  // the stream Workload::ApplyUpdates consumes.
+  // Identical event sequences: the update session drains a deterministic
+  // clone of the stream Workload::ApplyUpdates consumes.
   std::unique_ptr<UpdateStream> stream = eval::CloneUniformUpdateStream(w);
   ASSERT_NE(stream, nullptr);
   auto engine = MakeEngine(w, shards, 4);
-  BatchApplierOptions bo;
-  bo.batch_size = 64;
-  BatchUpdateApplier applier(engine.get(), stream.get(), bo);
+  service::MovingObjectService svc(engine.get(), w.catalog());
+  auto session = svc.OpenUpdateSession(stream.get(), /*batch_size=*/64);
 
   QuerySetOptions q;
   q.count = 15;
@@ -234,12 +233,12 @@ TEST_P(EngineUpdateTest, MatchesSingleTreeAcrossUpdateBatches) {
     ExpectSameAnswers(w, *engine, MakePrqQueries(w, q), MakePknnQueries(w, q),
                       "phase");
     ASSERT_TRUE(w.ApplyUpdates(kUpdatesPerPhase).ok());
-    ASSERT_TRUE(applier.Apply(kUpdatesPerPhase).ok());
+    ASSERT_TRUE(session.Apply(kUpdatesPerPhase).ok());
     ASSERT_EQ(engine->size(), w.peb().size());
   }
-  EXPECT_EQ(applier.events_applied(), 3 * kUpdatesPerPhase);
-  EXPECT_GT(applier.batches_applied(), 0u);
-  EXPECT_GT(applier.last_event_time(), 0.0);
+  EXPECT_EQ(session.events_applied(), 3 * kUpdatesPerPhase);
+  EXPECT_GT(session.batches_applied(), 0u);
+  EXPECT_GT(session.last_event_time(), 0.0);
   // Final check after the last batch.
   q.seed = 999;
   ExpectSameAnswers(w, *engine, MakePrqQueries(w, q), MakePknnQueries(w, q),
@@ -295,7 +294,7 @@ struct SingleTree {
     pool = std::make_unique<BufferPool>(
         &disk, BufferPoolOptions{w.params().buffer_pages});
     tree = std::make_unique<PebTree>(pool.get(), opts, &w.store(), &w.roles(),
-                                     &w.encoding());
+                                     w.catalog()->snapshot());
     for (const MovingObject& o : w.dataset().objects) {
       EXPECT_TRUE(tree->Insert(o).ok());
     }
@@ -365,9 +364,9 @@ TEST_F(EngineWorldTest, EngineMatchesBruteForce) {
 // Ids outside the policy encoding
 // ---------------------------------------------------------------------------
 
-// An unknown id must be rejected before it reaches the router: the
-// sv-range router indexes per-user state by id, and WAL replay feeds ids
-// read from disk. Statuses match the single tree's.
+// An unknown id must be rejected (or, in a re-key list, skipped) before it
+// reaches the router: the sv-range router indexes per-user state by id, and
+// WAL replay feeds ids read from disk. Statuses match the single tree's.
 TEST_F(EngineWorldTest, OutOfRangeIdsAreRejectedBeforeRouting) {
   for (RouterPolicy policy :
        {RouterPolicy::kHashUser, RouterPolicy::kSvRange}) {
@@ -390,8 +389,50 @@ TEST_F(EngineWorldTest, OutOfRangeIdsAreRejectedBeforeRouting) {
       Dataset bulk;
       bulk.objects.push_back(obj);
       EXPECT_TRUE(engine->LoadDataset(bulk).IsInvalidArgument()) << context;
+      const std::vector<UserId> rekey = {id};
+      EXPECT_TRUE(
+          engine->AdoptSnapshot(world().catalog()->snapshot(), &rekey).ok())
+          << context;
     }
     EXPECT_EQ(engine->size(), before);
+    EXPECT_TRUE(engine->ValidateInvariants().ok());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot adoption
+// ---------------------------------------------------------------------------
+
+// A snapshot the engine cannot key by is refused before anything is
+// swapped: queries keep answering from the snapshot the engine already had.
+TEST_F(EngineWorldTest, RejectedAdoptSnapshotLeavesEngineUnchanged) {
+  auto engine = MakeEngine(world(), 4, 2, RouterPolicy::kSvRange);
+  const UserId issuer = 300;
+  const Rect range = Rect::CenteredSquare({500, 500}, 600.0);
+  const Timestamp tq = world().now();
+  auto before = engine->RangeQuery(issuer, range, tq);
+  ASSERT_TRUE(before.ok());
+
+  // Too small a population: issuer 300 has no friend list in it.
+  PolicyGeneratorOptions pg;
+  pg.num_users = 200;
+  pg.policies_per_user = 5;
+  GeneratedPolicies small = GeneratePolicies(pg);
+  const CatalogOptions& co = world().catalog()->options();
+  const SvQuantizer quant(co.sv_scale, co.sv_bits);
+  auto too_few = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(small.store, 200, co.compat, co.sv, quant));
+  // Right population, but wider than the key's SV field.
+  auto too_wide = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(world().store(), world().params().num_users,
+                              co.compat, co.sv,
+                              SvQuantizer(co.sv_scale, co.sv_bits + 4)));
+
+  for (const auto& rejected : {too_few, too_wide}) {
+    EXPECT_TRUE(engine->AdoptSnapshot(rejected, nullptr).IsInvalidArgument());
+    auto after = engine->RangeQuery(issuer, range, tq);
+    ASSERT_TRUE(after.ok()) << after.status();
+    EXPECT_EQ(*after, *before);
     EXPECT_TRUE(engine->ValidateInvariants().ok());
   }
 }

@@ -75,7 +75,8 @@ TEST_F(FileBackedTest, PersistAndReopenPebTree) {
   GeneratedPolicies gp = GeneratePolicies(pg);
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
-  auto enc = PolicyEncoding::Build(gp.store, users, compat, {}, quant);
+  auto enc = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(gp.store, users, compat, {}, quant));
 
   PebTreeOptions opt;
   opt.index.grid_bits = 8;
@@ -95,7 +96,7 @@ TEST_F(FileBackedTest, PersistAndReopenPebTree) {
     FileDiskManager disk(path_);
     ASSERT_TRUE(disk.status().ok());
     BufferPool pool(&disk, BufferPoolOptions{32});
-    PebTree tree(&pool, opt, &gp.store, &gp.roles, &enc);
+    PebTree tree(&pool, opt, &gp.store, &gp.roles, enc);
     for (const auto& o : ds.objects) ASSERT_TRUE(tree.Insert(o).ok());
     for (const auto& [issuer, range] : queries) {
       auto res = tree.RangeQuery(issuer, range, 120.0);
@@ -121,7 +122,7 @@ TEST_F(FileBackedTest, PersistAndReopenPebTree) {
     EXPECT_GE((*disk)->capacity(),
               manifest.stats.num_leaves + manifest.stats.num_internals);
     BufferPool pool(disk->get(), BufferPoolOptions{32});
-    PebTree tree(&pool, opt, &gp.store, &gp.roles, &enc);
+    PebTree tree(&pool, opt, &gp.store, &gp.roles, enc);
     ASSERT_TRUE(tree.AttachExisting(manifest).ok());
     EXPECT_EQ(tree.size(), users);
     for (size_t q = 0; q < queries.size(); ++q) {
@@ -152,14 +153,15 @@ TEST_F(FileBackedTest, AttachRejectsBogusManifests) {
   RoleRegistry roles;
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
-  auto enc = PolicyEncoding::Build(store, 10, compat, {}, quant);
+  auto enc = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(store, 10, compat, {}, quant));
 
   FileDiskManager disk(path_);
   ASSERT_TRUE(disk.status().ok());
   BufferPool pool(&disk, BufferPoolOptions{16});
   PebTreeOptions opt;
   opt.index.grid_bits = 8;
-  PebTree tree(&pool, opt, &store, &roles, &enc);
+  PebTree tree(&pool, opt, &store, &roles, enc);
 
   PebTreeManifest bogus;
   bogus.root = 99;  // Nonexistent page.
@@ -183,14 +185,15 @@ TEST_F(FileBackedTest, PebTreeQueriesOnRealFile) {
   GeneratedPolicies gp = GeneratePolicies(pg);
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
-  auto enc = PolicyEncoding::Build(gp.store, users, compat, {}, quant);
+  auto enc = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(gp.store, users, compat, {}, quant));
 
   FileDiskManager disk(path_);
   ASSERT_TRUE(disk.status().ok());
   BufferPool pool(&disk, BufferPoolOptions{8});
   PebTreeOptions opt;
   opt.index.grid_bits = 8;
-  PebTree tree(&pool, opt, &gp.store, &gp.roles, &enc);
+  PebTree tree(&pool, opt, &gp.store, &gp.roles, enc);
   for (const auto& o : ds.objects) ASSERT_TRUE(tree.Insert(o).ok());
 
   Rng rng(14);

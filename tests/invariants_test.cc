@@ -91,8 +91,9 @@ TEST_P(ConfigSweepTest, AnswersIndependentOfTuningKnobs) {
   GeneratedPolicies gp = GeneratePolicies(pg);
   CompatibilityOptions compat;
   SvQuantizer quant(cfg.sv_scale, cfg.sv_bits);
-  auto enc = PolicyEncoding::Build(gp.store, users, compat, {}, quant,
-                                   cfg.strategy);
+  auto enc = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(gp.store, users, compat, {}, quant,
+                              cfg.strategy));
 
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{cfg.buffer_pages});
@@ -100,7 +101,7 @@ TEST_P(ConfigSweepTest, AnswersIndependentOfTuningKnobs) {
   opt.index.grid_bits = cfg.grid_bits;
   opt.index.zrange.max_intervals = cfg.max_intervals;
   opt.sv_bits = cfg.sv_bits;
-  PebTree tree(&pool, opt, &gp.store, &gp.roles, &enc);
+  PebTree tree(&pool, opt, &gp.store, &gp.roles, enc);
   for (const auto& o : ds.objects) ASSERT_TRUE(tree.Insert(o).ok());
 
   Rng rng(33);
@@ -120,7 +121,7 @@ TEST_P(ConfigSweepTest, AnswersIndependentOfTuningKnobs) {
     for (UserId uid : *got) {
       EXPECT_NE(uid, issuer);
       // Every answer is in the issuer's friend list.
-      const auto& friends = enc.FriendsOf(issuer);
+      const auto& friends = enc->FriendsOf(issuer);
       bool is_friend = false;
       for (const auto& f : friends) is_friend |= (f.uid == uid);
       EXPECT_TRUE(is_friend) << uid;
@@ -177,12 +178,13 @@ TEST(QueryInvariants, PrqMonotoneInRange) {
   GeneratedPolicies gp = GeneratePolicies(pg);
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
-  auto enc = PolicyEncoding::Build(gp.store, users, compat, {}, quant);
+  auto enc = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(gp.store, users, compat, {}, quant));
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{64});
   PebTreeOptions opt;
   opt.index.grid_bits = 8;
-  PebTree tree(&pool, opt, &gp.store, &gp.roles, &enc);
+  PebTree tree(&pool, opt, &gp.store, &gp.roles, enc);
   for (const auto& o : ds.objects) ASSERT_TRUE(tree.Insert(o).ok());
 
   Rng rng(43);
@@ -219,12 +221,13 @@ TEST(QueryInvariants, KnnPrefixStability) {
   GeneratedPolicies gp = GeneratePolicies(pg);
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
-  auto enc = PolicyEncoding::Build(gp.store, users, compat, {}, quant);
+  auto enc = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(gp.store, users, compat, {}, quant));
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{64});
   PebTreeOptions opt;
   opt.index.grid_bits = 8;
-  PebTree tree(&pool, opt, &gp.store, &gp.roles, &enc);
+  PebTree tree(&pool, opt, &gp.store, &gp.roles, enc);
   for (const auto& o : ds.objects) ASSERT_TRUE(tree.Insert(o).ok());
 
   Rng rng(53);
@@ -260,17 +263,18 @@ TEST(QueryInvariants, ResultsUnaffectedByUnrelatedChurn) {
   GeneratedPolicies gp = GeneratePolicies(pg);
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
-  auto enc = PolicyEncoding::Build(gp.store, users, compat, {}, quant);
+  auto enc = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(gp.store, users, compat, {}, quant));
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{64});
   PebTreeOptions opt;
   opt.index.grid_bits = 8;
-  PebTree tree(&pool, opt, &gp.store, &gp.roles, &enc);
+  PebTree tree(&pool, opt, &gp.store, &gp.roles, enc);
   for (const auto& o : ds.objects) ASSERT_TRUE(tree.Insert(o).ok());
 
   const UserId issuer = 5;
   std::unordered_set<UserId> friend_set;
-  for (const auto& f : enc.FriendsOf(issuer)) friend_set.insert(f.uid);
+  for (const auto& f : enc->FriendsOf(issuer)) friend_set.insert(f.uid);
 
   Rect range = Rect::CenteredSquare({500, 500}, 600);
   Timestamp tq = 120.0;
@@ -382,12 +386,13 @@ TEST(NegativeValidation, DetectsCorruptedLeafChain) {
   GeneratedPolicies gp = GeneratePolicies(pg);
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
-  auto enc = PolicyEncoding::Build(gp.store, users, compat, {}, quant);
+  auto enc = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(gp.store, users, compat, {}, quant));
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{64});
   PebTreeOptions opt;
   opt.index.grid_bits = 8;
-  PebTree tree(&pool, opt, &gp.store, &gp.roles, &enc);
+  PebTree tree(&pool, opt, &gp.store, &gp.roles, enc);
   for (const auto& o : ds.objects) ASSERT_TRUE(tree.Insert(o).ok());
   ASSERT_TRUE(tree.ValidateInvariants().ok());
 

@@ -53,7 +53,7 @@ TEST(PebKeyLayout, FitsDetectsOverflow) {
 struct PebWorld {
   Dataset dataset;
   GeneratedPolicies policies;
-  std::unique_ptr<PolicyEncoding> encoding;
+  std::shared_ptr<const EncodingSnapshot> encoding;
   InMemoryDiskManager disk;
   std::unique_ptr<BufferPool> pool;
   std::unique_ptr<PebTree> tree;
@@ -78,8 +78,8 @@ struct PebWorld {
 
     CompatibilityOptions compat;
     SvQuantizer quant(64.0, 26);
-    w.encoding = std::make_unique<PolicyEncoding>(PolicyEncoding::Build(
-        w.policies.store, users, compat, {}, quant));
+    w.encoding = std::make_shared<const EncodingSnapshot>(
+        EncodingSnapshot::Build(w.policies.store, users, compat, {}, quant));
 
     w.pool = std::make_unique<BufferPool>(&w.disk, BufferPoolOptions{64});
     PebTreeOptions opt;
@@ -87,7 +87,7 @@ struct PebWorld {
     opt.prq_strategy = prq;
     opt.knn_order = order;
     w.tree = std::make_unique<PebTree>(w.pool.get(), opt, &w.policies.store,
-                                       &w.policies.roles, w.encoding.get());
+                                       &w.policies.roles, w.encoding);
     for (const auto& o : w.dataset.objects) {
       EXPECT_TRUE(w.tree->Insert(o).ok());
     }
@@ -231,14 +231,15 @@ TEST(PebTree, EmptyFriendListGivesEmptyResults) {
   }
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
-  auto enc = PolicyEncoding::Build(gp.store, users, compat, {}, quant);
-  ASSERT_TRUE(enc.FriendsOf(19).empty());
+  auto enc = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(gp.store, users, compat, {}, quant));
+  ASSERT_TRUE(enc->FriendsOf(19).empty());
 
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{16});
   PebTreeOptions opt;
   opt.index.grid_bits = 8;
-  PebTree tree(&pool, opt, &gp.store, &gp.roles, &enc);
+  PebTree tree(&pool, opt, &gp.store, &gp.roles, enc);
   for (const auto& o : ds.objects) ASSERT_TRUE(tree.Insert(o).ok());
 
   QueryStats prq_stats;
@@ -274,12 +275,13 @@ TEST(PebTree, MultiplePoliciesPerPairAllUnioned) {
 
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
-  auto enc = PolicyEncoding::Build(gp.store, 2, compat, {}, quant);
+  auto enc = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(gp.store, 2, compat, {}, quant));
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{16});
   PebTreeOptions opt;
   opt.index.grid_bits = 8;
-  PebTree tree(&pool, opt, &gp.store, &gp.roles, &enc);
+  PebTree tree(&pool, opt, &gp.store, &gp.roles, enc);
   for (const auto& o : ds.objects) ASSERT_TRUE(tree.Insert(o).ok());
 
   Rect everywhere = Rect::Space(1000);
@@ -353,12 +355,13 @@ TEST(PebTree, RangeQueryRespectsPolicyTimeWindows) {
 
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
-  auto enc = PolicyEncoding::Build(gp.store, 3, compat, {}, quant);
+  auto enc = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(gp.store, 3, compat, {}, quant));
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{16});
   PebTreeOptions opt;
   opt.index.grid_bits = 8;
-  PebTree tree(&pool, opt, &gp.store, &gp.roles, &enc);
+  PebTree tree(&pool, opt, &gp.store, &gp.roles, enc);
   for (const auto& o : ds.objects) ASSERT_TRUE(tree.Insert(o).ok());
 
   Rect range{{480, 490}, {520, 510}};
@@ -415,14 +418,15 @@ TEST(PebTree, QuantizationCollisionsDoNotLoseResults) {
   GeneratedPolicies gp = GeneratePolicies(pg);
   CompatibilityOptions compat;
   SvQuantizer quant(0.05, 3);  // Nearly everything collides.
-  auto enc = PolicyEncoding::Build(gp.store, users, compat, {}, quant);
+  auto enc = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(gp.store, users, compat, {}, quant));
 
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{64});
   PebTreeOptions opt;
   opt.index.grid_bits = 8;
   opt.sv_bits = 3;
-  PebTree tree(&pool, opt, &gp.store, &gp.roles, &enc);
+  PebTree tree(&pool, opt, &gp.store, &gp.roles, enc);
   for (const auto& o : ds.objects) ASSERT_TRUE(tree.Insert(o).ok());
 
   Rng rng(43);

@@ -49,7 +49,8 @@ struct SingleTree {
         &disk, BufferPoolOptions{w.params().buffer_pages});
     tree = std::make_unique<PebTree>(pool.get(),
                                      eval::PebOptionsFor(w.params()),
-                                     &w.store(), &w.roles(), &w.encoding());
+                                     &w.store(), &w.roles(),
+                                     w.catalog().snapshot());
     for (const MovingObject& o : w.dataset().objects) {
       EXPECT_TRUE(tree->Insert(o).ok());
     }

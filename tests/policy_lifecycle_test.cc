@@ -498,13 +498,5 @@ TEST(PolicyLifecycle, RevocationIsImmediateGrantWaitsForEpoch) {
               gone.ids.end());
 }
 
-TEST(PolicyLifecycle, MutationsNotSupportedWithoutCatalog) {
-  Workload w = Workload::Build(ChurnParams(54));
-  MovingObjectService svc(&w.peb(), &w.store(), &w.roles(), &w.encoding());
-  QueryResponse resp = svc.Execute(
-      QueryRequest::AddPolicy(1, 2, WideOpenPolicy(0), w.now()));
-  EXPECT_EQ(resp.status.code(), StatusCode::kNotSupported);
-}
-
 }  // namespace
 }  // namespace peb

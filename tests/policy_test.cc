@@ -362,7 +362,7 @@ TEST(SequenceValues, HigherCompatibilityGivesCloserValues) {
 }
 
 // ---------------------------------------------------------------------------
-// Quantizer and PolicyEncoding
+// Quantizer and EncodingSnapshot
 // ---------------------------------------------------------------------------
 
 TEST(SvQuantizer, ScalesAndClamps) {
@@ -383,7 +383,7 @@ TEST(SvQuantizer, PreservesOrderUpToTies) {
   }
 }
 
-TEST(PolicyEncoding, FriendListsSortedAndComplete) {
+TEST(EncodingSnapshot, FriendListsSortedAndComplete) {
   PolicyGeneratorOptions opt;
   opt.num_users = 300;
   opt.policies_per_user = 10;
@@ -393,8 +393,8 @@ TEST(PolicyEncoding, FriendListsSortedAndComplete) {
 
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
-  PolicyEncoding enc = PolicyEncoding::Build(gen.store, opt.num_users, compat,
-                                             {}, quant);
+  EncodingSnapshot enc = EncodingSnapshot::Build(gen.store, opt.num_users,
+                                                 compat, {}, quant);
 
   EXPECT_EQ(enc.num_users(), 300u);
   for (UserId u = 0; u < 300; ++u) {

@@ -198,8 +198,7 @@ TEST(ServiceSubmit, FuturesMatchSerialExecution) {
   auto engine = MakeEngine(w, 4, 2);
   ServiceOptions opts;
   opts.num_workers = 4;
-  MovingObjectService svc(engine.get(), &w.store(), &w.roles(),
-                          &w.encoding(), opts);
+  MovingObjectService svc(engine.get(), w.catalog(), opts);
 
   QuerySetOptions q;
   q.count = 40;
@@ -238,8 +237,7 @@ TEST(ServiceSubmit, ExpiredDeadlineIsShed) {
   auto engine = MakeEngine(w, 2, 2);
   ServiceOptions opts;
   opts.num_workers = 1;  // FIFO: later requests wait for the first.
-  MovingObjectService svc(engine.get(), &w.store(), &w.roles(),
-                          &w.encoding(), opts);
+  MovingObjectService svc(engine.get(), w.catalog(), opts);
 
   // Occupy the single worker, then submit requests whose deadline (10 ns)
   // must already be exceeded by the time the worker reaches them.
@@ -324,8 +322,7 @@ TEST(ServiceConcurrency, MixedSubmitAgainstUpdateSessionStaysExact) {
 
   ServiceOptions opts;
   opts.num_workers = 4;
-  MovingObjectService svc(engine.get(), &w.store(), &w.roles(),
-                          &w.encoding(), opts);
+  MovingObjectService svc(engine.get(), w.catalog(), opts);
   auto session = svc.OpenUpdateSession(stream.get(), /*batch_size=*/256);
 
   // Fire the mixed async wave, then apply the whole batch concurrently.
@@ -384,8 +381,7 @@ TEST(ServiceConcurrency, MixedSubmitAgainstUpdateSessionStaysExact) {
 TEST(ServiceConcurrency, ManualThreadsHammerExecute) {
   Workload w = Workload::Build(SmallParams(39));
   auto engine = MakeEngine(w, 4, 2);
-  MovingObjectService svc(engine.get(), &w.store(), &w.roles(),
-                          &w.encoding());
+  MovingObjectService svc(engine.get(), w.catalog());
 
   QuerySetOptions q;
   q.count = 24;
@@ -539,8 +535,8 @@ TEST(ServiceContinuous, IdenticalEventStreamsAcrossShardCounts) {
   auto make_instance = [&](size_t shards) {
     Instance inst;
     inst.engine = MakeEngine(w, shards, 2);
-    inst.svc = std::make_unique<MovingObjectService>(
-        inst.engine.get(), &w.store(), &w.roles(), &w.encoding());
+    inst.svc =
+        std::make_unique<MovingObjectService>(inst.engine.get(), w.catalog());
     inst.stream = eval::CloneUniformUpdateStream(w);
     return inst;
   };
@@ -587,18 +583,6 @@ TEST(ServiceContinuous, IdenticalEventStreamsAcrossShardCounts) {
                             single.query))
                   .status.IsNotFound());
   EXPECT_EQ(single.svc->num_continuous_queries(), 0u);
-}
-
-TEST(ServiceContinuous, DisabledWithoutPolicyWorld) {
-  Workload w = Workload::Build(SmallParams(41));
-  MovingObjectService svc(&w.peb());  // No store/roles/encoding.
-  QueryResponse reg = svc.Execute(QueryRequest::RegisterContinuous(
-      1, Rect::CenteredSquare({500, 500}, 200.0), w.now()));
-  EXPECT_EQ(reg.status.code(), StatusCode::kNotSupported);
-  // Plain queries still work.
-  EXPECT_TRUE(
-      svc.Execute(QueryRequest::Prq(1, {{300, 300}, {700, 700}}, w.now()))
-          .ok());
 }
 
 }  // namespace

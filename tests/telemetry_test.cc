@@ -138,7 +138,7 @@ TEST(TelemetryTrace, FourShardPknnProducesShardAndRoundSpans) {
   service::ServiceOptions so;
   so.time_domain = p.time_domain;
   so.telemetry = topts;
-  MovingObjectService svc(engine.get(), so);
+  MovingObjectService svc(engine.get(), w.catalog(), so);
 
   QuerySetOptions qs;
   qs.count = 8;
