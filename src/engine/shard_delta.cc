@@ -6,13 +6,21 @@ namespace peb {
 namespace engine {
 
 void ShardDelta::Append(const MovingObject& state, bool tombstone,
-                        uint64_t seq) {
+                        uint64_t seq, int effect) {
   MutexLock lock(&mu_);
   Record rec;
   rec.state = state;
   rec.seq = seq;
   rec.tombstone = tombstone;
   log_[state.id].push_back(rec);
+  if (effect != 0) {
+    // A batch shares one seq: its effects fold into one entry.
+    if (effects_.empty() || effects_.back().first != seq) {
+      effects_.emplace_back(seq, 0);
+    }
+    effects_.back().second += effect;
+    effect_total_ += effect;
+  }
   records_.fetch_add(1, std::memory_order_relaxed);
   appended_total_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -38,9 +46,25 @@ bool ShardDelta::LatestVisible(UserId uid, uint64_t watermark,
   return true;
 }
 
+int64_t ShardDelta::EffectUpTo(uint64_t watermark) const {
+  MutexLock lock(&mu_);
+  int64_t sum = effect_total_;
+  for (auto it = effects_.rbegin();
+       it != effects_.rend() && it->first > watermark; ++it) {
+    sum -= it->second;
+  }
+  return sum;
+}
+
 std::vector<std::pair<UserId, ShardDelta::Record>> ShardDelta::DrainUpTo(
     uint64_t bound) {
   MutexLock lock(&mu_);
+  auto first_kept = effects_.begin();
+  while (first_kept != effects_.end() && first_kept->first <= bound) {
+    effect_total_ -= first_kept->second;
+    ++first_kept;
+  }
+  effects_.erase(effects_.begin(), first_kept);
   std::vector<std::pair<UserId, Record>> drained;
   size_t removed = 0;
   for (auto it = log_.begin(); it != log_.end();) {

@@ -24,6 +24,12 @@
 //    a bound no active reader can be pinned before (they run under the
 //    engine's exclusive state lock, which excludes all readers).
 //
+// Membership effects: the writer knows whether each record makes its user
+// join (+1), leave (-1) or just move (0), and the delta keeps the non-zero
+// effects in seq order beside the records. The engine's logical size at a
+// watermark is then its tree-resident count plus EffectUpTo(watermark) per
+// shard — no per-user walk of the buffered logs.
+//
 // Thread-safety: fully internally synchronized; records() is a lock-free
 // approximation that is exact for any reader whose watermark load already
 // synchronized with the publishing store (see the fast-path comment).
@@ -56,9 +62,11 @@ class ShardDelta {
 
   /// Appends one record. The caller (the engine's ingest section) assigns
   /// `seq`; seqs must be non-decreasing across calls and a tombstone's
-  /// `state` only needs a valid id.
-  void Append(const MovingObject& state, bool tombstone, uint64_t seq)
-      EXCLUDES(mu_);
+  /// `state` only needs a valid id. `effect` is the record's membership
+  /// effect: +1 when the user was absent before it (a join), -1 for the
+  /// tombstone of a present user (a leave), 0 for a move.
+  void Append(const MovingObject& state, bool tombstone, uint64_t seq,
+              int effect) EXCLUDES(mu_);
 
   /// The latest record for `uid` with seq <= watermark, if any.
   bool LatestVisible(UserId uid, uint64_t watermark, Record* out) const
@@ -75,32 +83,26 @@ class ShardDelta {
     return appended_total_.load(std::memory_order_relaxed);
   }
 
-  /// Removes every record with seq <= bound and returns the latest drained
-  /// record per user, ascending by uid (a deterministic apply order for
-  /// the merge). Records above the bound — batches published after the
-  /// merge began, or not yet published — stay buffered. The caller must
-  /// hold the shard's tree mutex across this call AND the subsequent tree
-  /// application, so presence probes (tree-then-delta or delta-then-tree
-  /// under that mutex) never observe the window where a record has left
+  /// Net membership effect of the buffered records with seq <= watermark:
+  /// joins minus leaves. O(effects newer than the watermark), which is
+  /// usually none — readers pin the newest published batch.
+  int64_t EffectUpTo(uint64_t watermark) const EXCLUDES(mu_);
+
+  /// Removes every record with seq <= bound, together with their membership
+  /// effects, and returns the latest drained record per user, ascending by
+  /// uid (a deterministic apply order for the merge). Records above the
+  /// bound — batches published after the merge began, or not yet published
+  /// — stay buffered. The caller must apply the drained records to the tree
+  /// in the same section that excludes every reader (the engine's exclusive
+  /// state lock), so no reader observes the window where a record has left
   /// the delta but not yet reached the tree.
   std::vector<std::pair<UserId, Record>> DrainUpTo(uint64_t bound)
       EXCLUDES(mu_);
 
-  /// Visits the latest visible record of every buffered user (unspecified
-  /// user order). `fn(uid, record)` runs under the delta mutex: keep it
-  /// cheap and do not call back into this object.
-  template <typename Fn>
-  void ForEachLatestVisible(uint64_t watermark, Fn fn) const EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    for (const auto& [uid, log] : log_) {
-      const Record* latest = LatestIn(log, watermark);
-      if (latest != nullptr) fn(uid, *latest);
-    }
-  }
-
   /// Visits every buffered record, per user in append (ascending-seq)
-  /// order — the invariant validator's raw view. Same locking contract as
-  /// ForEachLatestVisible.
+  /// order — the invariant validator's raw view. `fn(uid, record)` runs
+  /// under the delta mutex: keep it cheap and do not call back into this
+  /// object.
   template <typename Fn>
   void ForEachRecord(Fn fn) const EXCLUDES(mu_) {
     MutexLock lock(&mu_);
@@ -117,6 +119,10 @@ class ShardDelta {
   mutable Mutex mu_;
   /// Per-user append-only record logs, ascending seq within each log.
   std::unordered_map<UserId, std::vector<Record>> log_ GUARDED_BY(mu_);
+  /// (seq, net effect) of every buffered batch with a non-zero membership
+  /// effect, ascending seq (one entry per seq), and the sum of them all.
+  std::vector<std::pair<uint64_t, int64_t>> effects_ GUARDED_BY(mu_);
+  int64_t effect_total_ GUARDED_BY(mu_) = 0;
   std::atomic<size_t> records_{0};
   std::atomic<uint64_t> appended_total_{0};
 };

@@ -74,7 +74,8 @@ ShardedPebEngine::ShardedPebEngine(
       durable_(holder.durable),
       pool_(disk_.get(),
             BufferPoolOptions{options.buffer_pages, options.pool_shards}),
-      threads_(options.num_threads) {
+      threads_(options.num_threads),
+      present_(num_users_, 0) {
   if (durable_ != nullptr) {
     Status st = durable_->status();
     if (st.ok()) {
@@ -419,12 +420,29 @@ Result<std::unique_ptr<ShardedPebEngine>> ShardedPebEngine::Open(
           std::to_string(manifest.epoch) + " but the caller's snapshot is " +
           std::to_string(snapshot->epoch()));
     }
+    // The attached trees are the whole membership before replay: rebuild
+    // the presence bytes and the tree-resident count from them.
+    WriterMutexLock state_lock(&engine->state_mu_);
+    MutexLock ingest(&engine->ingest_mu_);
+    std::vector<uint8_t>& present = engine->present_;
     for (size_t s = 0; s < engine->shards_.size(); ++s) {
       const PebTreeManifest& m = manifest.shards[s];
       if (m.root == kInvalidPageId) continue;  // Checkpointed empty.
       Shard& shard = *engine->shards_[s];
       MutexLock lock(&shard.mu);
       PEB_RETURN_NOT_OK(shard.tree->AttachExisting(m));
+      Status members;
+      shard.tree->ForEachObject([&](UserId uid, const MovingObject&) {
+        if (uid >= present.size()) {
+          members = Status::Corruption("shard " + std::to_string(s) +
+                                       " hosts user " + std::to_string(uid) +
+                                       " outside the policy encoding");
+        } else {
+          present[uid] = 1;
+        }
+      });
+      PEB_RETURN_NOT_OK(members);
+      engine->tree_users_ += static_cast<int64_t>(shard.tree->size());
     }
   }
 
@@ -503,20 +521,6 @@ Result<std::unique_ptr<ShardedPebEngine>> ShardedPebEngine::Open(
 // Update path
 // ---------------------------------------------------------------------------
 
-bool ShardedPebEngine::PresentInShard(size_t idx, UserId id) const {
-  const Shard& shard = *shards_[idx];
-  // The shard mutex covers BOTH probes: a merge holds it across drain and
-  // apply, so the verdict can never land in the drained-but-not-applied
-  // window (see the lock-order note in the header).
-  MutexLock lock(&shard.mu);
-  ShardDelta::Record rec;
-  // Under ingest_mu_ every buffered record is published — probe unbounded.
-  if (deltas_[idx]->LatestVisible(id, ~uint64_t{0}, &rec)) {
-    return !rec.tombstone;
-  }
-  return shard.tree->GetObject(id).ok();
-}
-
 void ShardedPebEngine::UpdateBacklogGauge() const {
   if (delta_backlog_ == nullptr) return;
   size_t total = 0;
@@ -552,15 +556,19 @@ Status ShardedPebEngine::IngestOne(const MovingObject& state, bool tombstone,
     MutexLock ingest(&ingest_mu_);
     // Status parity with a single tree's ops: Insert -> AlreadyExists,
     // Delete -> NotFound, Update is an upsert.
-    if (require_absent && PresentInShard(idx, state.id)) {
+    const bool was_present = present_[state.id] != 0;
+    if (require_absent && was_present) {
       return Status::AlreadyExists("object " + std::to_string(state.id) +
                                    " already indexed");
     }
-    if (require_present && !PresentInShard(idx, state.id)) {
+    if (require_present && !was_present) {
       return Status::NotFound("object " + std::to_string(state.id));
     }
     const uint64_t seq = ++next_seq_;
-    deltas_[idx]->Append(state, tombstone, seq);
+    // Membership effect: +1 join, -1 leave, 0 move.
+    deltas_[idx]->Append(state, tombstone, seq,
+                         int{!tombstone} - int{was_present});
+    present_[state.id] = tombstone ? 0 : 1;
     published_seq_.store(seq, std::memory_order_release);
     if (wal_ != nullptr) {
       // Journal inside the ingest section so WAL order matches publication
@@ -604,38 +612,62 @@ Status ShardedPebEngine::LoadDataset(const Dataset& dataset) {
     }
   }
   WriterMutexLock state_lock(&state_mu_);
-  std::vector<std::vector<const MovingObject*>> groups(shards_.size());
-  for (const MovingObject& o : dataset.objects) {
-    groups[router_->ShardOf(o.id)].push_back(&o);
-  }
-  // One worker task per shard inserts its group in order, stopping at the
-  // first error; batch_lock_hold_ms_ observes how long each task held its
-  // shard mutex (the interval queries on that shard were blocked for).
-  std::vector<Status> statuses(shards_.size());
-  std::vector<std::function<void()>> tasks;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    telemetry::Inc(shard_instruments_[s].updates, groups[s].size());
-    if (groups[s].empty()) continue;
-    tasks.push_back([&, s] {
-      Shard& shard = *shards_[s];
-      MutexLock lock(&shard.mu);
-      const auto locked_at = std::chrono::steady_clock::now();
-      for (const MovingObject* o : groups[s]) {
-        statuses[s] = shard.tree->Insert(*o);
-        if (!statuses[s].ok()) break;
-      }
-      telemetry::Observe(batch_lock_hold_ms_,
-                         std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - locked_at)
-                             .count());
-    });
-  }
-  threads_.RunAll(std::move(tasks));
   Status st;
-  for (Status& shard_st : statuses) {
-    if (!shard_st.ok()) {
-      st = std::move(shard_st);
-      break;
+  {
+    // Writers are frozen too (state_mu_ -> ingest_mu_, the checkpoint's
+    // order): the presence bytes must not change between the check below
+    // and the inserts.
+    MutexLock ingest(&ingest_mu_);
+    // All-or-nothing: reject before inserting anything.
+    std::vector<uint8_t> taken = present_;
+    for (const MovingObject& o : dataset.objects) {
+      if (taken[o.id] != 0) {
+        return Status::AlreadyExists("object " + std::to_string(o.id) +
+                                     " already indexed");
+      }
+      taken[o.id] = 1;
+    }
+    // A buffered record would shadow the loaded tree entry (a buffered
+    // tombstone would hide the user), so the deltas drain first.
+    std::vector<size_t> buffered;
+    for (size_t s = 0; s < deltas_.size(); ++s) {
+      if (deltas_[s]->records() > 0) buffered.push_back(s);
+    }
+    PEB_RETURN_NOT_OK(MergeShardsLocked(buffered));
+    std::vector<std::vector<const MovingObject*>> groups(shards_.size());
+    for (const MovingObject& o : dataset.objects) {
+      groups[router_->ShardOf(o.id)].push_back(&o);
+    }
+    // One worker task per shard inserts its group in order, stopping at the
+    // first error; batch_lock_hold_ms_ observes how long each task held its
+    // shard mutex (the interval queries on that shard were blocked for).
+    std::vector<Status> statuses(shards_.size());
+    std::vector<size_t> inserted(shards_.size(), 0);
+    std::vector<std::function<void()>> tasks;
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      telemetry::Inc(shard_instruments_[s].updates, groups[s].size());
+      if (groups[s].empty()) continue;
+      tasks.push_back([&, s] {
+        Shard& shard = *shards_[s];
+        MutexLock lock(&shard.mu);
+        const auto locked_at = std::chrono::steady_clock::now();
+        for (const MovingObject* o : groups[s]) {
+          statuses[s] = shard.tree->Insert(*o);
+          if (!statuses[s].ok()) break;
+          ++inserted[s];
+        }
+        telemetry::Observe(batch_lock_hold_ms_,
+                           std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - locked_at)
+                               .count());
+      });
+    }
+    threads_.RunAll(std::move(tasks));
+    // Bookkeeping follows what the trees actually took, even on a failure.
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      for (size_t i = 0; i < inserted[s]; ++i) present_[groups[s][i]->id] = 1;
+      tree_users_ += static_cast<int64_t>(inserted[s]);
+      if (st.ok() && !statuses[s].ok()) st = std::move(statuses[s]);
     }
   }
   if (st.ok() && options_.tree.index.paranoid_checks) st = ValidateLocked();
@@ -680,7 +712,11 @@ Status ShardedPebEngine::ApplyBatch(const std::vector<UpdateEvent>& events) {
     for (const UpdateEvent& ev : events) {
       const size_t idx = router_->ShardOf(ev.state.id);
       telemetry::Inc(shard_instruments_[idx].updates);
-      deltas_[idx]->Append(ev.state, /*tombstone=*/false, seq);
+      // An upsert of an absent user is a join; of a present one, a move.
+      uint8_t& present = present_[ev.state.id];
+      deltas_[idx]->Append(ev.state, /*tombstone=*/false, seq,
+                           present != 0 ? 0 : 1);
+      present = 1;
     }
     published_seq_.store(seq, std::memory_order_release);
     if (wal_ != nullptr) {
@@ -718,16 +754,18 @@ Status ShardedPebEngine::MergeShardsLocked(const std::vector<size_t>& which) {
   const uint64_t bound = published_seq_.load(std::memory_order_acquire);
   const bool paranoid = options_.tree.index.paranoid_checks;
   std::vector<Status> statuses(shards_.size());
+  std::vector<int64_t> effects(shards_.size(), 0);
   std::atomic<uint64_t> merged_total{0};
   std::vector<std::function<void()>> tasks;
   for (size_t s : which) {
-    tasks.push_back([this, s, bound, paranoid, &statuses, &merged_total] {
+    tasks.push_back([this, s, bound, paranoid, &statuses, &effects,
+                     &merged_total] {
       Shard& shard = *shards_[s];
-      // The shard mutex spans drain AND apply, so presence probes (which
-      // also hold it across both their probes) never see the window where
-      // a record has left the delta but not yet reached the tree.
       MutexLock lock(&shard.mu);
       const auto locked_at = std::chrono::steady_clock::now();
+      // No writer can append at or below the bound (their seqs exceed every
+      // published one), so these are exactly the effects drained next.
+      effects[s] = deltas_[s]->EffectUpTo(bound);
       const auto drained = deltas_[s]->DrainUpTo(bound);
       Status st;
       for (const auto& [uid, rec] : drained) {
@@ -776,6 +814,9 @@ Status ShardedPebEngine::MergeShardsLocked(const std::vector<size_t>& which) {
     });
   }
   threads_.RunAll(std::move(tasks));
+  // The drained effects now live in the trees — even if an apply failed,
+  // they have left the deltas.
+  for (size_t s : which) tree_users_ += effects[s];
   for (Status& st : statuses) PEB_RETURN_NOT_OK(st);
   delta_merges_count_.fetch_add(which.size(), std::memory_order_relaxed);
   delta_merged_records_.fetch_add(merged_total.load(std::memory_order_relaxed),
@@ -910,29 +951,12 @@ Status ShardedPebEngine::RunExclusive(const std::function<Status()>& fn) {
 // Read path
 // ---------------------------------------------------------------------------
 
-size_t ShardedPebEngine::SizeLocked() const {
-  const uint64_t watermark = published_seq_.load(std::memory_order_acquire);
-  size_t total = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = *shards_[s];
-    MutexLock lock(&shard.mu);
-    size_t n = shard.tree->size();
-    if (deltas_[s]->records() > 0) {
-      // Authoritative logical size: a delta-only insert adds a user the
-      // tree does not host yet; a tombstone of a tree-resident user
-      // removes one. (The raw pointer keeps the guarded access out of the
-      // lambda; shard.mu is held for its whole extent.)
-      const PebTree* tree = shard.tree.get();
-      deltas_[s]->ForEachLatestVisible(
-          watermark, [&](UserId uid, const ShardDelta::Record& rec) {
-            const bool in_tree = tree->GetObject(uid).ok();
-            if (rec.tombstone && in_tree) --n;
-            if (!rec.tombstone && !in_tree) ++n;
-          });
-    }
-    total += n;
-  }
-  return total;
+size_t ShardedPebEngine::SizeLocked(uint64_t watermark) const {
+  // The shared state lock excludes merges, so every effect at or below the
+  // watermark is either still buffered or already in tree_users_.
+  int64_t total = tree_users_;
+  for (const auto& delta : deltas_) total += delta->EffectUpTo(watermark);
+  return static_cast<size_t>(total);
 }
 
 void ShardedPebEngine::OverlayFriends(
@@ -970,7 +994,7 @@ void ShardedPebEngine::OverlayFriends(
 
 size_t ShardedPebEngine::size() const {
   ReaderMutexLock state_lock(&state_mu_);
-  return SizeLocked();
+  return SizeLocked(published_seq_.load(std::memory_order_acquire));
 }
 
 BufferPool* ShardedPebEngine::pool() { return &pool_; }
@@ -1107,6 +1131,9 @@ Result<std::vector<Neighbor>> ShardedPebEngine::KnnQueryWithStats(
     return UnknownIssuerError(issuer);
   }
   if (collect) stats->epoch = snapshot_->epoch();
+  // One watermark for the seed radius AND the overlay: both see the same
+  // published batches.
+  const uint64_t watermark = published_seq_.load(std::memory_order_acquire);
   std::vector<std::vector<FriendEntry>> per_shard = PartitionFriends(issuer);
 
   // The engine drives the Figure-9 enlargement: every shard enlarges with
@@ -1115,18 +1142,17 @@ Result<std::vector<Neighbor>> ShardedPebEngine::KnnQueryWithStats(
   // The schedule starts at the cost model's candidate-density seed radius.
   size_t total_friends = 0;
   for (const auto& fl : per_shard) total_friends += fl.size();
-  const double rq =
-      KnnSeedRadiusFor(total_friends, SizeLocked(), snapshot_->num_users(), k,
-                       options_.tree.index.space_side);
+  const double rq = KnnSeedRadiusFor(total_friends, SizeLocked(watermark),
+                                     snapshot_->num_users(), k,
+                                     options_.tree.index.space_side);
   // Delta overlay AFTER the seed radius: the schedule above already uses
-  // the authoritative SizeLocked() and the PRE-overlay friend count, so the
+  // the exact SizeLocked() and the PRE-overlay friend count, so the
   // enlargement geometry does not depend on how much of the delta has been
   // merged. Shadowed friends are answered exactly, from their delta state,
   // before any scan runs — the same verification and distance the tree's
   // InsertVerified would compute.
   std::vector<DeltaCandidate> delta_cands;
-  OverlayFriends(&per_shard, published_seq_.load(std::memory_order_acquire),
-                 &delta_cands);
+  OverlayFriends(&per_shard, watermark, &delta_cands);
   for (const DeltaCandidate& c : delta_cands) {
     const Point pos = c.state.PositionAt(tq);
     if (PebTree::VerifyAgainst(*store_, *roles_, options_.tree.time_domain,
@@ -1333,9 +1359,11 @@ Result<MovingObject> ShardedPebEngine::GetObject(UserId id) const {
 
 Status ShardedPebEngine::ValidateLocked() const {
   const uint64_t epoch = snapshot_ == nullptr ? 0 : snapshot_->epoch();
+  int64_t tree_total = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = *shards_[s];
     MutexLock lock(&shard.mu);
+    tree_total += static_cast<int64_t>(shard.tree->size());
     if (shard.tree->encoding_epoch() != epoch) {
       return Status::Corruption(
           "engine shard " + std::to_string(s) + " serves epoch " +
@@ -1345,7 +1373,12 @@ Status ShardedPebEngine::ValidateLocked() const {
     PEB_RETURN_NOT_OK(shard.tree->ValidateInvariants());
     Status routing = Status::OK();
     shard.tree->ForEachObject([&](UserId uid, const MovingObject&) {
-      if (routing.ok() && router_->ShardOf(uid) != s) {
+      if (!routing.ok()) return;
+      if (uid >= num_users_) {  // Before routing: see IngestOne.
+        routing = Status::Corruption(
+            "user " + std::to_string(uid) + " hosted by shard " +
+            std::to_string(s) + " outside the policy encoding");
+      } else if (router_->ShardOf(uid) != s) {
         routing = Status::Corruption(
             "user " + std::to_string(uid) + " hosted by shard " +
             std::to_string(s) + " but routed to shard " +
@@ -1396,12 +1429,52 @@ Status ShardedPebEngine::ValidateLocked() const {
     });
     PEB_RETURN_NOT_OK(delta_st);
   }
+  if (tree_total != tree_users_) {
+    return Status::Corruption(
+        "engine counts " + std::to_string(tree_users_) +
+        " tree-resident users but its shard trees host " +
+        std::to_string(tree_total));
+  }
   return pool_.ValidateInvariants();
 }
 
 Status ShardedPebEngine::ValidateInvariants() const {
   ReaderMutexLock state_lock(&state_mu_);
-  return ValidateLocked();
+  PEB_RETURN_NOT_OK(ValidateLocked());
+  // Membership bookkeeping, with writers frozen (state_mu_ -> ingest_mu_,
+  // the checkpoint's order): every buffered record is published, so the
+  // latest one decides a user's presence.
+  MutexLock ingest(&ingest_mu_);
+  std::vector<uint8_t> expected(num_users_, 0);
+  int64_t buffered_effect = 0;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    const Shard& shard = *shards_[s];
+    MutexLock lock(&shard.mu);
+    shard.tree->ForEachObject(
+        [&](UserId uid, const MovingObject&) { expected[uid] = 1; });
+    // Per user in ascending seq: the last write is the latest record.
+    deltas_[s]->ForEachRecord([&](UserId uid, const ShardDelta::Record& rec) {
+      expected[uid] = rec.tombstone ? 0 : 1;
+    });
+    buffered_effect += deltas_[s]->EffectUpTo(~uint64_t{0});
+  }
+  int64_t present = 0;
+  for (UserId uid = 0; uid < num_users_; ++uid) {
+    if (present_[uid] != expected[uid]) {
+      return Status::Corruption(
+          "presence byte of user " + std::to_string(uid) + " is " +
+          std::to_string(present_[uid]) + " but the trees and deltas say " +
+          std::to_string(expected[uid]));
+    }
+    present += present_[uid];
+  }
+  if (tree_users_ + buffered_effect != present) {
+    return Status::Corruption(
+        std::to_string(tree_users_) + " tree-resident users plus buffered "
+        "membership effects of " + std::to_string(buffered_effect) +
+        " disagree with " + std::to_string(present) + " present users");
+  }
+  return Status::OK();
 }
 
 }  // namespace engine

@@ -41,16 +41,21 @@
 // a merge, while concurrent queries still proceed in parallel.
 //
 // Log-structured ingestion: updates (Insert/Update/Delete/ApplyBatch)
-// never take the engine-wide exclusive lock at all.
+// never take the engine-wide exclusive lock, nor any shard mutex.
 // Writers serialize on a dedicated ingest mutex, append raw-state records
 // to the home shard's in-memory delta (engine/shard_delta.h) under that
 // shard's delta latch, and publish the batch by storing its seq into an
-// atomic watermark. Read paths pin the watermark once at admission and
-// merge the delta with the tree scan: friends with a visible delta record
-// are lifted out of the per-shard tree candidate lists and evaluated
-// directly from their delta state through the SAME Definition-2 predicate
-// the tree scans use (PebTree::VerifyAgainst), so answers do not depend on
-// how much has been merged, and queries never wait behind update
+// atomic watermark. Writers also track membership: one presence byte per
+// encoded user answers Insert's AlreadyExists and Delete's NotFound without
+// a tree probe, and tags every appended record as a join, a leave or a
+// move. The deltas keep those effects, so the logical size at a watermark
+// is the tree-resident count plus the visible effects — O(shards) for
+// size() and for PkNN's seed radius. Read paths pin the watermark once at
+// admission and merge the delta with the tree scan: friends with a visible
+// delta record are lifted out of the per-shard tree candidate lists and
+// evaluated directly from their delta state through the SAME Definition-2
+// predicate the tree scans use (PebTree::VerifyAgainst), so answers do not
+// depend on how much has been merged, and queries never wait behind update
 // application.
 // Deltas drain into the B+-trees in bounded merges — on a per-shard
 // record-count threshold at the end of an ingest call, from the optional
@@ -59,17 +64,18 @@
 // (and shortened further by latest-record dedup: N buffered updates of one
 // user cost one tree update).
 //
-// Lock order: ingest_mu_ -> shard.mu -> delta.mu (writers; presence probes
-// hold shard.mu across both the tree and delta probe so a concurrent merge
-// — which holds shard.mu across drain AND apply — can never show them the
-// window where a record left the delta but has not reached the tree), and
-// state_mu_ -> shard.mu -> delta.mu (merges, queries, validation). The
-// ingest path never takes state_mu_ itself (only through the merges it
-// triggers outside its ingest section); queries only ever hold state_mu_
-// shared. Checkpoints additionally take
-// state_mu_ -> ingest_mu_ (never the reverse: ingest calls MergeShards only
-// OUTSIDE its ingest section), freezing both mutation paths so the WAL
-// truncation at the end of a checkpoint cannot race a concurrent append.
+// Lock order: state_mu_ -> ingest_mu_ -> shard.mu -> delta.mu. Writers take
+// only ingest_mu_ -> delta.mu. Merges, queries and validation take
+// state_mu_ -> shard.mu -> delta.mu; a merge holds state_mu_ exclusive
+// across drain AND apply, so no reader sees the window where a record left
+// the delta but has not reached the tree. The ingest path never takes
+// state_mu_ itself (only through the merges it triggers outside its ingest
+// section); queries only ever hold state_mu_ shared. Checkpoints,
+// LoadDataset, Open()'s tree attach and ValidateInvariants additionally
+// take state_mu_ -> ingest_mu_ (never the reverse: ingest calls MergeShards
+// only OUTSIDE its ingest section), freezing both mutation paths: the WAL
+// truncation at the end of a checkpoint cannot race a concurrent append,
+// and the presence bytes hold still while trees are loaded or audited.
 // wal_mu_ is a leaf: it guards only the WAL sequence counter and the
 // durability poison status, and no code acquires another lock under it.
 //
@@ -99,6 +105,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -248,6 +255,10 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
 
   // --- bulk operations ------------------------------------------------------
   /// Routes and inserts every object, loading shards in parallel.
+  /// All-or-nothing: an id outside the encoding (InvalidArgument), already
+  /// present in the engine or repeated within the dataset (AlreadyExists)
+  /// rejects the whole load before anything is inserted. Buffered deltas
+  /// drain first, so no buffered tombstone shadows a loaded user.
   Status LoadDataset(const Dataset& dataset);
 
   /// Applies a time-ordered update batch: the whole batch is appended to
@@ -334,10 +345,14 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   /// own invariants (PebTree::ValidateInvariants, including the underlying
   /// B+-tree walk), every hosted user routed to exactly the shard that
   /// hosts it, one uniform encoding epoch across shards and the engine's
-  /// pinned snapshot, shard sizes consistent with the engine total, and
-  /// the shared buffer pool's frame accounting. Takes the state lock
-  /// shared, so it can run concurrently with queries (but not mid-batch).
-  Status ValidateInvariants() const EXCLUDES(state_mu_);
+  /// pinned snapshot, the tree-resident count equal to the shard sizes,
+  /// and the shared buffer pool's frame accounting. Then, with writers
+  /// frozen, the membership bookkeeping: every presence byte equals
+  /// tree-or-latest-delta presence, and the tree-resident count plus every
+  /// buffered effect equals the number of present users. Takes the state
+  /// lock shared and then the ingest lock, so it runs concurrently with
+  /// queries but not mid-batch.
+  Status ValidateInvariants() const EXCLUDES(state_mu_, ingest_mu_);
 
  private:
   struct Shard {
@@ -391,13 +406,6 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
                       std::vector<DeltaCandidate>* out) const
       REQUIRES_SHARED(state_mu_);
 
-  /// Whether `id` currently exists logically in shard `idx` — tree OR
-  /// visible delta, tombstones excluded. Holds the shard mutex across both
-  /// probes (see the lock-order note above) so the verdict is atomic with
-  /// respect to merges. Writers call it under ingest_mu_, where every
-  /// buffered record is already published — hence the unbounded watermark.
-  bool PresentInShard(size_t idx, UserId id) const REQUIRES(ingest_mu_);
-
   /// Appends one single-object mutation (Insert/Update/Delete) to the home
   /// shard's delta with a single tree's status codes, then publishes it.
   /// Ids outside the encoding are rejected before routing.
@@ -446,11 +454,14 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   /// Refreshes engine.delta.backlog to the current buffered-record total.
   void UpdateBacklogGauge() const;
 
-  /// size() for callers already holding state_mu_.
-  size_t SizeLocked() const REQUIRES_SHARED(state_mu_);
+  /// The number of users present at `watermark`: the tree-resident count
+  /// plus every shard delta's visible membership effect. O(shards); no
+  /// shard mutex, no tree lookup.
+  size_t SizeLocked(uint64_t watermark) const REQUIRES_SHARED(state_mu_);
 
-  /// ValidateInvariants() for callers already holding state_mu_ (the
-  /// paranoid_checks hook runs it at the end of exclusive batch sections).
+  /// ValidateInvariants()'s structural half, for callers already holding
+  /// state_mu_ (the paranoid_checks hook runs it at the end of exclusive
+  /// batch sections, some of which hold ingest_mu_ too).
   Status ValidateLocked() const REQUIRES_SHARED(state_mu_);
 
   /// Adds a finished shard query's counters into a query-local total.
@@ -507,11 +518,19 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   // --- log-structured ingestion state ---------------------------------------
   /// One delta per shard, indexed like shards_. Each has its own latch.
   std::vector<std::unique_ptr<ShardDelta>> deltas_;
-  /// Serializes WRITERS only (seq assignment, presence probes, batch
+  /// Serializes WRITERS only (seq assignment, presence bytes, batch
   /// publication). Queries never touch it — that is the whole point.
   mutable Mutex ingest_mu_ ACQUIRED_BEFORE(merger_mu_);
   /// Seq of the most recently assigned ingest batch.
   uint64_t next_seq_ GUARDED_BY(ingest_mu_) = 0;
+  /// One byte per encoded user: 1 while the user is present (tree or
+  /// latest delta record, as of the last appended batch). Writers read it
+  /// for their status checks and to tag each record's membership effect.
+  std::vector<uint8_t> present_ GUARDED_BY(ingest_mu_);
+  /// Users hosted by the shard trees. Written only in exclusive sections:
+  /// LoadDataset, merges (which add the drained effects) and Open()'s
+  /// attach.
+  int64_t tree_users_ GUARDED_BY(state_mu_) = 0;
   /// Watermark of the most recently PUBLISHED batch: stored with release
   /// after all of the batch's appends, loaded with acquire once per query.
   /// Records above a reader's watermark are invisible to it.

@@ -460,6 +460,22 @@ TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndBackgroundMerges) {
       batch.push_back(stream->Next());
     }
   }
+  // Joins and leaves race too: after batch i the writer deletes leaver(i)
+  // and re-inserts the user it deleted after batch i - 1, so size reads
+  // (PkNN seeds, size()) see non-zero membership effects in flight.
+  auto leaver = [&](size_t i) {
+    return static_cast<UserId>((i * 37 + 11) % wp.num_users);
+  };
+  auto rejoin = [&](size_t i) {
+    MovingObject obj;
+    obj.id = leaver(i - 1);
+    obj.pos = {static_cast<double>(i * 16), 1000.0 - static_cast<double>(i)};
+    obj.vel = {1.0, -1.0};
+    obj.tu = batches[i].back().t;
+    return obj;
+  };
+  std::vector<StatusCode> deletes(kBatches);
+  std::vector<StatusCode> inserts(kBatches);
 
   // Bounded reader loops with yield gaps: an unbounded 100% shared-lock
   // duty cycle from several readers can starve the merge sections' writer
@@ -468,8 +484,10 @@ TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndBackgroundMerges) {
   // query traffic always has).
   std::atomic<bool> done{false};
   std::thread writer([&] {
-    for (const auto& batch : batches) {
-      EXPECT_TRUE(engine->ApplyBatch(batch).ok());
+    for (size_t i = 0; i < kBatches; ++i) {
+      EXPECT_TRUE(engine->ApplyBatch(batches[i]).ok());
+      deletes[i] = engine->Delete(leaver(i)).code();
+      if (i > 0) inserts[i] = engine->Insert(rejoin(i)).code();
     }
     done.store(true, std::memory_order_release);
   });
@@ -510,11 +528,35 @@ TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndBackgroundMerges) {
   for (auto& t : readers) t.join();
   validator.join();
 
-  // Settle and compare against the mirror at the same prefix.
+  // Settle and compare against the mirror at the same prefix. The writer's
+  // statuses follow from membership alone (batches upsert, so a batch may
+  // bring a deleted user back before the writer's own Insert does).
   Mirror mirror(w.dataset());
-  for (const auto& batch : batches) {
-    for (const UpdateEvent& ev : batch) mirror.Upsert(ev.state);
+  size_t joins = 0;
+  size_t leaves = 0;
+  for (size_t i = 0; i < kBatches; ++i) {
+    for (const UpdateEvent& ev : batches[i]) mirror.Upsert(ev.state);
+    const UserId gone = leaver(i);
+    if (mirror.Contains(gone)) {
+      EXPECT_EQ(deletes[i], StatusCode::kOk) << "batch " << i;
+      mirror.Remove(gone);
+      ++leaves;
+    } else {
+      EXPECT_EQ(deletes[i], StatusCode::kNotFound) << "batch " << i;
+    }
+    if (i == 0) continue;
+    const MovingObject back = rejoin(i);
+    if (mirror.Contains(back.id)) {
+      EXPECT_EQ(inserts[i], StatusCode::kAlreadyExists) << "batch " << i;
+    } else {
+      EXPECT_EQ(inserts[i], StatusCode::kOk) << "batch " << i;
+      mirror.Upsert(back);
+      ++joins;
+    }
   }
+  EXPECT_GT(joins, kBatches / 2);
+  EXPECT_GT(leaves, kBatches / 2);
+  EXPECT_EQ(engine->size(), mirror.size());
   ASSERT_TRUE(engine->MergeDeltas().ok());
   ExpectMatchesMirror(w, *engine, mirror, 888, "concurrent-settled");
   ASSERT_TRUE(engine->ValidateInvariants().ok());

@@ -400,6 +400,53 @@ TEST_F(EngineWorldTest, OutOfRangeIdsAreRejectedBeforeRouting) {
 }
 
 // ---------------------------------------------------------------------------
+// Bulk loads
+// ---------------------------------------------------------------------------
+
+// A rejected bulk load changes nothing: every id is checked, against the
+// engine's users and against repeats in the dataset, before any insert. An
+// accepted one is not shadowed by a tombstone still buffered for its user.
+TEST_F(EngineWorldTest, LoadDatasetIsAllOrNothing) {
+  auto engine = MakeEngine(world(), 4, 2);
+  auto five = engine->GetObject(5);
+  auto six = engine->GetObject(6);
+  ASSERT_TRUE(five.ok() && six.ok());
+  ASSERT_TRUE(engine->Delete(5).ok());
+  ASSERT_TRUE(engine->MergeDeltas().ok());
+  const size_t before = engine->size();
+  ASSERT_EQ(before, world().params().num_users - 1);
+
+  const std::vector<std::vector<MovingObject>> rejected = {{*five, *six},
+                                                           {*five, *five}};
+  for (const auto& objects : rejected) {
+    Dataset bulk;
+    bulk.objects = objects;
+    Status st = engine->LoadDataset(bulk);
+    EXPECT_TRUE(st.IsAlreadyExists()) << st.ToString();
+    EXPECT_EQ(engine->size(), before);
+    EXPECT_TRUE(engine->GetObject(5).status().IsNotFound());
+    EXPECT_TRUE(engine->ValidateInvariants().ok());
+  }
+
+  // User 5 rejoins and leaves again, both buffered; the load must win.
+  ASSERT_TRUE(engine->Insert(*five).ok());
+  ASSERT_TRUE(engine->Delete(5).ok());
+  Dataset bulk;
+  bulk.objects = {*five};
+  ASSERT_TRUE(engine->LoadDataset(bulk).ok());
+  for (const char* stage : {"loaded", "merged"}) {
+    EXPECT_EQ(engine->size(), before + 1) << stage;
+    auto got = engine->GetObject(5);
+    ASSERT_TRUE(got.ok()) << stage;
+    EXPECT_EQ(got->pos.x, five->pos.x) << stage;
+    EXPECT_EQ(got->pos.y, five->pos.y) << stage;
+    Status deep = engine->ValidateInvariants();
+    EXPECT_TRUE(deep.ok()) << stage << ": " << deep.ToString();
+    ASSERT_TRUE(engine->MergeDeltas().ok());
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Snapshot adoption
 // ---------------------------------------------------------------------------
 
