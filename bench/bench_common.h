@@ -88,7 +88,6 @@ inline Json ToJson(const IoStats& s) {
       .Set("physical_writes", s.physical_writes)
       .Set("logical_fetches", s.logical_fetches)
       .Set("cache_hits", s.cache_hits)
-      .Set("prefetch_reads", s.prefetch_reads)
       .Set("evictions", s.evictions)
       .Set("hit_ratio", s.HitRatio());
 }

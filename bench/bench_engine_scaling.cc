@@ -135,8 +135,7 @@ void RunTelemetrySmoke(Workload& w, const std::string& snapshot_path,
   topts.slow_query_ms = 0.0;     // Every query is "slow": the log fills.
   topts.slow_log_capacity = 16;
 
-  auto engine =
-      MakeEngine(w, 4, 4, engine::RouterPolicy::kHashUser, topts);
+  auto engine = MakeEngine(w, 4, 4, topts);
   service::ServiceOptions so;
   so.num_workers = 2;  // Real queueing: queue_ms, depth gauge, shed path.
   so.time_domain = w.params().time_domain;

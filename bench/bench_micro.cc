@@ -230,10 +230,9 @@ eval::Json RunAndReportTelemetryOverheadCell() {
 
   // Inline execution (0 engine threads, 0 workers) keeps both sides
   // deterministic: the cell measures instrumentation cost, not scheduling.
-  auto engine_on = eval::MakeEngine(w, 4, 0, engine::RouterPolicy::kHashUser,
-                                    on);
-  auto engine_off = eval::MakeEngine(w, 4, 0, engine::RouterPolicy::kHashUser,
-                                     telemetry::TelemetryOptions::Disabled());
+  auto engine_on = eval::MakeEngine(w, 4, 0, on);
+  auto engine_off =
+      eval::MakeEngine(w, 4, 0, telemetry::TelemetryOptions::Disabled());
   service::ServiceOptions svc_on_opts;
   svc_on_opts.time_domain = p.time_domain;
   svc_on_opts.telemetry = on;

@@ -75,9 +75,7 @@ int main(int argc, char** argv) {
   topts.registry = &registry;
 
   Workload w = Workload::Build(params);
-  auto engine =
-      MakeEngine(w, /*num_shards=*/4, /*num_threads=*/4,
-                 engine::RouterPolicy::kHashUser, topts);
+  auto engine = MakeEngine(w, /*num_shards=*/4, /*num_threads=*/4, topts);
   service::ServiceOptions so;
   so.time_domain = params.time_domain;
   so.telemetry = topts;

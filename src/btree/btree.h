@@ -215,7 +215,6 @@ class BTree {
       if (next == kInvalidPageId) return Status::OK();  // Now invalid.
       PEB_ASSIGN_OR_RETURN(guard_, tree_->pool_->FetchPage(next));
       count_ = NodeCount(*guard_.page());
-      if (prefetch_) tree_->pool_->Prefetch(LeafNext(*guard_.page()));
       return Status::OK();
     }
 
@@ -228,11 +227,6 @@ class BTree {
       guard_.Release();
       slot_ = count_ = 0;
     }
-
-    /// Stage the next sibling leaf into the buffer pool on every leaf
-    /// crossing. Off by default: prefetch reads perturb the physical-read
-    /// counts the figure benches compare against the paper.
-    void set_prefetch(bool on) { prefetch_ = on; }
 
     /// Root descents performed by SeekGE calls so far.
     size_t descents() const { return descents_; }
@@ -247,7 +241,6 @@ class BTree {
     PageGuard guard_;
     uint16_t slot_ = 0;
     uint16_t count_ = 0;
-    bool prefetch_ = false;
     size_t descents_ = 0;
     size_t chain_hops_ = 0;
   };

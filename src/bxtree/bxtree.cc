@@ -123,7 +123,6 @@ Result<std::vector<SpatialCandidate>> BxTree::RangeQuery(const Rect& range,
   counters_ = QueryCounters{};
   std::vector<SpatialCandidate> out;
   ObjectBTree::LeafCursor cursor = tree_.NewCursor();
-  cursor.set_prefetch(options_.prefetch_next_leaf);
   for (const auto& [label, count] : label_counts_) {
     Timestamp tlab = options_.partitions.LabelTimestamp(label);
     uint32_t partition = options_.partitions.PartitionOf(label);
@@ -232,7 +231,6 @@ Result<std::vector<Neighbor>> BxTree::KnnQuery(const Point& qloc, size_t k,
   std::unordered_map<int64_t, std::vector<CurveInterval>> covered;
 
   ObjectBTree::LeafCursor cursor = tree_.NewCursor();
-  cursor.set_prefetch(options_.prefetch_next_leaf);
   std::vector<SpatialCandidate> found;  // Reused across ring scans.
 
   for (size_t round = 1;; ++round) {

@@ -42,19 +42,6 @@ struct MovingIndexOptions {
   /// intervals scans a few extra cells (discarded by query refinement, so
   /// answers are unchanged) but saves one key-range probe per merge.
   ZRangeOptions zrange{.max_intervals = 0, .coalesce_gap = 3};
-  /// Let scans hint the buffer pool to stage the next sibling leaf. Off by
-  /// default: prefetch reads perturb the physical-read counts the figure
-  /// benches compare against the paper.
-  bool prefetch_next_leaf = false;
-  /// Coalesce friend rows whose quantized SVs differ by at most this much
-  /// into one SV-run key-range scan spanning the run's whole interval list
-  /// (0 = per-row probing). Under the paper's grouping factor an issuer's
-  /// friends concentrate on few, often consecutive quantized SVs, so
-  /// per-row probing multiplies seek descents; a run scan walks the run's
-  /// sparse adjacent rows once instead (extra entries are discarded by the
-  /// wanted-set filter, so answers are unchanged). Applies to PRQ
-  /// per-friend scans and PkNN (PEB-tree only).
-  uint32_t qsv_run_gap = 1;
   /// Run the deep structural validators (ValidateInvariants) inside every
   /// exclusive batch section — ApplyBatch, LoadDataset, AdoptSnapshot —
   /// so a corrupting batch is rejected before any query can observe it.

@@ -14,6 +14,16 @@ namespace engine {
 
 namespace {
 
+/// Latch shards of the shared buffer pool (clamped to buffer_pages): more
+/// latch shards, less metadata contention between worker threads.
+constexpr size_t kPoolLatchShards = 4;
+
+/// Backpressure ceiling: a shard delta holding this many records is merged
+/// before an ingest call appends to it.
+size_t HardCap(const EngineOptions::DeltaIngestOptions& delta) {
+  return delta.hard_cap != 0 ? delta.hard_cap : delta.merge_threshold * 8;
+}
+
 /// Merges one shard's fresh candidates — already ascending by distance —
 /// into the engine's running verified list (kept ascending by distance).
 void MergeByDistance(const std::vector<Neighbor>& fresh,
@@ -64,16 +74,13 @@ ShardedPebEngine::ShardedPebEngine(
     std::shared_ptr<const EncodingSnapshot> snapshot, bool fresh)
     : options_(options),
       snapshot_(std::move(snapshot)),
-      router_(MakeRouter(options.router,
-                         options.num_shards == 0 ? 1 : options.num_shards,
-                         snapshot_)),
       store_(store),
       roles_(roles),
       num_users_(snapshot_ == nullptr ? 0 : snapshot_->num_users()),
       disk_(std::move(holder.disk)),
       durable_(holder.durable),
       pool_(disk_.get(),
-            BufferPoolOptions{options.buffer_pages, options.pool_shards}),
+            BufferPoolOptions{options.buffer_pages, kPoolLatchShards}),
       threads_(options.num_threads),
       present_(num_users_, 0) {
   if (durable_ != nullptr) {
@@ -95,7 +102,7 @@ ShardedPebEngine::ShardedPebEngine(
       durability_error_ = st;
     }
   }
-  size_t n = router_->num_shards();
+  const size_t n = options.num_shards == 0 ? 1 : options.num_shards;
   shards_.reserve(n);
   deltas_.reserve(n);
   for (size_t s = 0; s < n; ++s) {
@@ -142,44 +149,13 @@ ShardedPebEngine::ShardedPebEngine(
                          static_cast<double>(st.physical_reads));
         out.emplace_back(p + "evictions",
                          static_cast<double>(st.evictions));
-        out.emplace_back(p + "prefetch_reads",
-                         static_cast<double>(st.prefetch_reads));
       }
       return out;
-    });
-  }
-  if (options_.delta.background_merge_period_ms > 0) {
-    merger_ = std::thread([this] {
-      const auto period =
-          std::chrono::milliseconds(options_.delta.background_merge_period_ms);
-      for (;;) {
-        {
-          MutexLock lock(&merger_mu_);
-          merger_cv_.wait_for(merger_mu_, period, [this]() {
-            merger_mu_.AssertHeld();
-            return merger_stop_;
-          });
-          if (merger_stop_) break;
-        }
-        // Drain every non-empty delta: across writer idle gaps this is the
-        // only trigger, and it keeps query-side read amplification low.
-        // Merge errors surface through paranoid foreground merges and
-        // ValidateInvariants; the thread itself has nobody to report to.
-        (void)MergeDeltas();
-      }
     });
   }
 }
 
 ShardedPebEngine::~ShardedPebEngine() {
-  if (merger_.joinable()) {
-    {
-      MutexLock lock(&merger_mu_);
-      merger_stop_ = true;
-    }
-    merger_cv_.notify_all();
-    merger_.join();
-  }
   // Clean shutdown: one final checkpoint marks the superblock clean so the
   // next open may skip validation. Best-effort — a poisoned engine, one
   // whose owner opted out (crash tests), or one Open() abandoned mid-
@@ -208,9 +184,7 @@ Status ShardedPebEngine::durability_status() const {
 
 Status ShardedPebEngine::LogOps(
     const std::vector<engine_wal::LoggedOp>& ops) {
-  if (wal_ == nullptr || replaying_.load(std::memory_order_relaxed)) {
-    return Status::OK();
-  }
+  if (wal_ == nullptr || replaying_) return Status::OK();
   MutexLock wal_lock(&wal_mu_);
   PEB_RETURN_NOT_OK(durability_error_);
   WalRecord rec;
@@ -218,15 +192,13 @@ Status ShardedPebEngine::LogOps(
   rec.type = engine_wal::kEvents;
   rec.payload = engine_wal::EncodeEvents(ops);
   Status st = wal_->Append(rec);
-  if (st.ok() && options_.durability.sync_each_batch) st = wal_->Sync();
+  if (st.ok()) st = wal_->Sync();
   if (!st.ok()) durability_error_ = st;
   return st;
 }
 
 Status ShardedPebEngine::LogMerge() {
-  if (wal_ == nullptr || replaying_.load(std::memory_order_relaxed)) {
-    return Status::OK();
-  }
+  if (wal_ == nullptr || replaying_) return Status::OK();
   MutexLock wal_lock(&wal_mu_);
   PEB_RETURN_NOT_OK(durability_error_);
   WalRecord rec;
@@ -245,15 +217,20 @@ Status ShardedPebEngine::Checkpoint() {
 }
 
 Status ShardedPebEngine::CheckpointLocked(bool clean) {
+  // Freeze ingest for the whole protocol (state_mu_ -> ingest_mu_, see the
+  // header's lock order).
+  MutexLock ingest(&ingest_mu_);
+  return CheckpointFrozen(clean);
+}
+
+Status ShardedPebEngine::CheckpointFrozen(bool clean) {
   if (durable_ == nullptr) {
     return Status::InvalidArgument(
         "Checkpoint() requires a durable engine (EngineOptions::durability)");
   }
-  // Freeze ingest for the whole protocol (state_mu_ -> ingest_mu_, see the
-  // header's lock order): between the delta merge below and the WAL
+  // Writers are frozen: between the delta merge below and the WAL
   // truncation at the end, no writer may append a kEvents record — it
   // would be truncated away while its events sit in an unmerged delta.
-  MutexLock ingest(&ingest_mu_);
   // 1. Every buffered event must reach the trees: the WAL is about to be
   //    truncated, and only tree pages are checkpointed.
   std::vector<size_t> which;
@@ -448,7 +425,7 @@ Result<std::unique_ptr<ShardedPebEngine>> ShardedPebEngine::Open(
 
   // 5. Replay the WAL suffix through the normal mutation paths (replay is
   //    not re-logged; the re-checkpoint below supersedes the log).
-  engine->replaying_.store(true, std::memory_order_relaxed);
+  engine->replaying_ = true;
   uint64_t max_seq = ckpt_seq;
   Status replay_st;
   for (const WalRecord& rec : records) {
@@ -495,7 +472,7 @@ Result<std::unique_ptr<ShardedPebEngine>> ShardedPebEngine::Open(
     }
     engine->wal_seq_ = max_seq;
   }
-  engine->replaying_.store(false, std::memory_order_relaxed);
+  engine->replaying_ = false;
 
   // 6. Deep validation after any unclean shutdown (and whenever the tree
   //    is configured paranoid). A non-empty log also counts as unclean:
@@ -531,24 +508,21 @@ void ShardedPebEngine::UpdateBacklogGauge() const {
 Status ShardedPebEngine::IngestOne(const MovingObject& state, bool tombstone,
                                    bool require_absent, bool require_present) {
   PEB_RETURN_NOT_OK(durability_status());
-  // Reject ids outside the encoding BEFORE routing: a router may index
-  // per-user state by id (SvRangeRouter), and WAL replay feeds ids read
-  // from disk. Statuses match a single tree's: Delete of an unknown user
-  // is NotFound, Insert/Update outside the encoding InvalidArgument.
+  // Reject ids outside the encoding first: present_ is indexed by id, and
+  // WAL replay feeds ids read from disk. Statuses match a single tree's:
+  // Delete of an unknown user is NotFound, Insert/Update outside the
+  // encoding InvalidArgument.
   if (state.id >= num_users_) {
     if (tombstone) {
       return Status::NotFound("object " + std::to_string(state.id));
     }
     return Status::InvalidArgument("object id outside the policy encoding");
   }
-  const size_t idx = router_->ShardOf(state.id);
+  const size_t idx = ShardOf(state.id, shards_.size());
   telemetry::Inc(shard_instruments_[idx].updates);
   // Backpressure: the writer (never a query) absorbs the merge cost when
   // this shard's delta is at the hard cap.
-  const size_t cap = options_.delta.hard_cap != 0
-                         ? options_.delta.hard_cap
-                         : options_.delta.merge_threshold * 8;
-  if (deltas_[idx]->records() >= cap) {
+  if (deltas_[idx]->records() >= HardCap(options_.delta)) {
     delta_backpressure_merges_.fetch_add(1, std::memory_order_relaxed);
     PEB_RETURN_NOT_OK(MergeShards({idx}));
   }
@@ -607,7 +581,7 @@ Status ShardedPebEngine::Delete(UserId id) {
 Status ShardedPebEngine::LoadDataset(const Dataset& dataset) {
   PEB_RETURN_NOT_OK(durability_status());
   for (const MovingObject& o : dataset.objects) {
-    if (o.id >= num_users_) {  // Checked before routing, as in IngestOne.
+    if (o.id >= num_users_) {  // Checked first, as in IngestOne.
       return Status::InvalidArgument("object id outside the policy encoding");
     }
   }
@@ -636,7 +610,7 @@ Status ShardedPebEngine::LoadDataset(const Dataset& dataset) {
     PEB_RETURN_NOT_OK(MergeShardsLocked(buffered));
     std::vector<std::vector<const MovingObject*>> groups(shards_.size());
     for (const MovingObject& o : dataset.objects) {
-      groups[router_->ShardOf(o.id)].push_back(&o);
+      groups[ShardOf(o.id, shards_.size())].push_back(&o);
     }
     // One worker task per shard inserts its group in order, stopping at the
     // first error; batch_lock_hold_ms_ observes how long each task held its
@@ -673,8 +647,7 @@ Status ShardedPebEngine::LoadDataset(const Dataset& dataset) {
   if (st.ok() && options_.tree.index.paranoid_checks) st = ValidateLocked();
   // Bulk loads are not journaled event-by-event; a checkpoint makes the
   // loaded base state durable in one stroke instead.
-  if (st.ok() && durable_ != nullptr &&
-      !replaying_.load(std::memory_order_relaxed)) {
+  if (st.ok() && durable_ != nullptr && !replaying_) {
     st = CheckpointLocked(/*clean=*/false);
   }
   return st;
@@ -684,7 +657,7 @@ Status ShardedPebEngine::ApplyBatch(const std::vector<UpdateEvent>& events) {
   PEB_RETURN_NOT_OK(durability_status());
   if (events.empty()) return Status::OK();
   // Pre-validate so the whole batch is rejected before anything is
-  // published (and before any id reaches the router).
+  // published (and before any id indexes present_).
   for (const UpdateEvent& ev : events) {
     if (ev.state.id >= num_users_) {
       return Status::InvalidArgument("object id outside the policy encoding");
@@ -692,9 +665,7 @@ Status ShardedPebEngine::ApplyBatch(const std::vector<UpdateEvent>& events) {
   }
   // Backpressure: merge any destination shard already at the hard cap
   // BEFORE appending — the writer stalls here, queries never do.
-  const size_t cap = options_.delta.hard_cap != 0
-                         ? options_.delta.hard_cap
-                         : options_.delta.merge_threshold * 8;
+  const size_t cap = HardCap(options_.delta);
   std::vector<size_t> over;
   for (size_t s = 0; s < deltas_.size(); ++s) {
     if (deltas_[s]->records() >= cap) over.push_back(s);
@@ -710,7 +681,7 @@ Status ShardedPebEngine::ApplyBatch(const std::vector<UpdateEvent>& events) {
     // atomically, so a query's pinned watermark sees all of it or none.
     const uint64_t seq = ++next_seq_;
     for (const UpdateEvent& ev : events) {
-      const size_t idx = router_->ShardOf(ev.state.id);
+      const size_t idx = ShardOf(ev.state.id, shards_.size());
       telemetry::Inc(shard_instruments_[idx].updates);
       // An upsert of an absent user is a join; of a present one, a move.
       uint8_t& present = present_[ev.state.id];
@@ -890,9 +861,9 @@ Status ShardedPebEngine::AdoptSnapshot(
   std::vector<std::vector<UserId>> groups(shards_.size());
   if (rekey != nullptr) {
     for (UserId uid : *rekey) {
-      // Ids outside the encoding are not indexed anywhere: skip them before
-      // routing, as the ingest path does.
-      if (uid < num_users_) groups[router_->ShardOf(uid)].push_back(uid);
+      // Ids outside the encoding are not indexed anywhere: skip them, as
+      // the ingest path rejects them.
+      if (uid < num_users_) groups[ShardOf(uid, shards_.size())].push_back(uid);
     }
   }
   std::vector<Status> statuses(shards_.size());
@@ -912,12 +883,16 @@ Status ShardedPebEngine::AdoptSnapshot(
   if (options_.tree.index.paranoid_checks) {
     PEB_RETURN_NOT_OK(ValidateLocked());
   }
-  if (wal_ != nullptr && !replaying_.load(std::memory_order_relaxed)) {
+  if (wal_ != nullptr && !replaying_) {
     // Journal the epoch barrier, then checkpoint IMMEDIATELY: recovery
     // replays pre-adopt records against the pre-adopt encoding, so a
     // kRekey record must never have replayable records after it. The
     // checkpoint truncates the log right here, making an uncommitted
     // kRekey provably the WAL tail — replay stops when it sees one.
+    // Writers stay frozen from the barrier through the checkpoint
+    // (state_mu_ -> ingest_mu_): a batch logged in between would be
+    // acknowledged, then dropped by a recovery that stops at the barrier.
+    MutexLock ingest(&ingest_mu_);
     {
       MutexLock wal_lock(&wal_mu_);
       PEB_RETURN_NOT_OK(durability_error_);
@@ -932,7 +907,7 @@ Status ShardedPebEngine::AdoptSnapshot(
         return st;
       }
     }
-    PEB_RETURN_NOT_OK(CheckpointLocked(/*clean=*/false));
+    PEB_RETURN_NOT_OK(CheckpointFrozen(/*clean=*/false));
   }
   return Status::OK();
 }
@@ -1013,7 +988,7 @@ std::vector<std::vector<FriendEntry>> ShardedPebEngine::PartitionFriends(
   // whole fanned-out query.
   std::vector<std::vector<FriendEntry>> per_shard(shards_.size());
   for (const FriendEntry& f : snapshot_->FriendsOf(issuer)) {
-    per_shard[router_->ShardOf(f.uid)].push_back(f);
+    per_shard[ShardOf(f.uid, shards_.size())].push_back(f);
   }
   return per_shard;
 }
@@ -1332,10 +1307,9 @@ Result<std::vector<Neighbor>> ShardedPebEngine::KnnQueryWithStats(
 }
 
 Result<MovingObject> ShardedPebEngine::GetObject(UserId id) const {
-  // Unknown ids never reach the router (see IngestOne).
   if (id >= num_users_) return Status::NotFound("object " + std::to_string(id));
   ReaderMutexLock state_lock(&state_mu_);
-  const size_t idx = router_->ShardOf(id);
+  const size_t idx = ShardOf(id, shards_.size());
   const Shard& s = *shards_[idx];
   MutexLock lock(&s.mu);
   const uint64_t watermark = published_seq_.load(std::memory_order_acquire);
@@ -1374,15 +1348,15 @@ Status ShardedPebEngine::ValidateLocked() const {
     Status routing = Status::OK();
     shard.tree->ForEachObject([&](UserId uid, const MovingObject&) {
       if (!routing.ok()) return;
-      if (uid >= num_users_) {  // Before routing: see IngestOne.
+      if (uid >= num_users_) {
         routing = Status::Corruption(
             "user " + std::to_string(uid) + " hosted by shard " +
             std::to_string(s) + " outside the policy encoding");
-      } else if (router_->ShardOf(uid) != s) {
+      } else if (ShardOf(uid, shards_.size()) != s) {
         routing = Status::Corruption(
             "user " + std::to_string(uid) + " hosted by shard " +
             std::to_string(s) + " but routed to shard " +
-            std::to_string(router_->ShardOf(uid)));
+            std::to_string(ShardOf(uid, shards_.size())));
       }
     });
     PEB_RETURN_NOT_OK(routing);
@@ -1399,16 +1373,16 @@ Status ShardedPebEngine::ValidateLocked() const {
     deltas_[s]->ForEachRecord([&](UserId uid,
                                   const ShardDelta::Record& rec) {
       if (!delta_st.ok()) return;
-      if (uid >= num_users_) {  // Before routing: see IngestOne.
+      if (uid >= num_users_) {
         delta_st = Status::Corruption(
             "delta record for user " + std::to_string(uid) +
             " outside the policy encoding");
-      } else if (router_->ShardOf(uid) != s) {
+      } else if (ShardOf(uid, shards_.size()) != s) {
         delta_st = Status::Corruption(
             "delta record for user " + std::to_string(uid) +
             " buffered by shard " + std::to_string(s) +
             " but routed to shard " +
-            std::to_string(router_->ShardOf(uid)));
+            std::to_string(ShardOf(uid, shards_.size())));
       } else if (uid == prev_uid && rec.seq < prev_seq) {
         delta_st = Status::Corruption(
             "delta seqs not ascending for user " + std::to_string(uid));

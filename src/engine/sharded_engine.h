@@ -9,24 +9,24 @@
 // aggregate frame budget is exactly the configured buffer_pages (no
 // per-shard floor inflation, so I/O stays directly comparable to the
 // paper's single-tree figures).
-// A pluggable ShardRouter assigns every user to exactly one shard; inserts,
-// deletes, and updates are routed there. Queries exploit the PEB-tree's
-// query structure (per-friend SV x Z-interval scans): the issuer's friend
-// list is partitioned by home shard and each shard answers only for the
-// friends it hosts, on a fixed ThreadPool, so the total key-range probe
-// count matches the single-tree index while wall-clock drops with
-// parallelism. Per-shard candidate lists are merged into one result
-// (merged by distance for PkNN). For PkNN the engine runs ONE streaming
-// task per shard, with no per-round barrier: each shard publishes its
-// anti-diagonal's candidates into a shared verified list as soon as they
-// exist, and a shard retires the moment its provably covered radius
-// reaches the global k-th candidate distance — its remaining annuli (and
-// final vertical scan) cannot improve the answer.
+// Users hash to shards (engine/shard_router.h), so every user has exactly
+// one home shard; inserts, deletes, and updates are routed there. Queries
+// exploit the PEB-tree's query structure (per-friend SV x Z-interval
+// scans): the issuer's friend list is partitioned by home shard and each
+// shard answers only for the friends it hosts, on a fixed ThreadPool, so
+// the total key-range probe count matches the single-tree index while
+// wall-clock drops with parallelism. Per-shard candidate lists are merged
+// into one result (merged by distance for PkNN). For PkNN the engine runs
+// ONE streaming task per shard, with no per-round barrier: each shard
+// publishes its anti-diagonal's candidates into a shared verified list as
+// soon as they exist, and a shard retires the moment its provably covered
+// radius reaches the global k-th candidate distance — its remaining
+// annuli (and final vertical scan) cannot improve the answer.
 //
 // Results are shard-count invariant: a user qualifies for a PRQ/PkNN answer
 // in exactly one shard (their home shard), so the merged result equals the
-// single PEB-tree's answer for any shard count and router policy
-// (tests/engine_test.cc asserts this for 1, 2, 4, and 7 shards).
+// single PEB-tree's answer for any shard count (tests/engine_test.cc
+// asserts this for 1, 2, 4, and 7 shards).
 //
 // Thread-safety: a per-shard mutex serializes all access to a shard's tree
 // structure and query counters (the tree is not thread-safe); the shared
@@ -58,11 +58,10 @@
 // depend on how much has been merged, and queries never wait behind update
 // application.
 // Deltas drain into the B+-trees in bounded merges — on a per-shard
-// record-count threshold at the end of an ingest call, from the optional
-// background merge thread, or explicitly via MergeDeltas() — under the
-// existing exclusive section, whose hold time is bounded by the threshold
-// (and shortened further by latest-record dedup: N buffered updates of one
-// user cost one tree update).
+// record-count threshold at the end of an ingest call, or explicitly via
+// MergeDeltas() — under the existing exclusive section, whose hold time is
+// bounded by the threshold (and shortened further by latest-record dedup:
+// N buffered updates of one user cost one tree update).
 //
 // Lock order: state_mu_ -> ingest_mu_ -> shard.mu -> delta.mu. Writers take
 // only ingest_mu_ -> delta.mu. Merges, queries and validation take
@@ -71,11 +70,13 @@
 // the delta but has not reached the tree. The ingest path never takes
 // state_mu_ itself (only through the merges it triggers outside its ingest
 // section); queries only ever hold state_mu_ shared. Checkpoints,
-// LoadDataset, Open()'s tree attach and ValidateInvariants additionally
-// take state_mu_ -> ingest_mu_ (never the reverse: ingest calls MergeShards
-// only OUTSIDE its ingest section), freezing both mutation paths: the WAL
-// truncation at the end of a checkpoint cannot race a concurrent append,
-// and the presence bytes hold still while trees are loaded or audited.
+// AdoptSnapshot, LoadDataset, Open()'s tree attach and ValidateInvariants
+// additionally take state_mu_ -> ingest_mu_ (never the reverse: ingest
+// calls MergeShards only OUTSIDE its ingest section), freezing both
+// mutation paths: the WAL truncation at the end of a checkpoint cannot race
+// a concurrent append, no batch can be logged between a re-key's epoch
+// barrier and the checkpoint that follows it, and the presence bytes hold
+// still while trees are loaded or audited.
 // wal_mu_ is a leaf: it guards only the WAL sequence counter and the
 // durability poison status, and no code acquires another lock under it.
 //
@@ -104,11 +105,9 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "bxtree/privacy_index.h"
@@ -134,15 +133,11 @@ struct EngineOptions {
   /// Worker threads for shard fan-out; 0 runs every shard task inline on
   /// the calling thread (deterministic single-threaded mode).
   size_t num_threads = 4;
-  RouterPolicy router = RouterPolicy::kHashUser;
   /// Aggregate buffer frames of the single shared pool (the paper's
   /// 50-page budget by default, so aggregate I/O stays comparable to the
   /// single-tree experiments — exactly, since there is no per-shard
   /// split).
   size_t buffer_pages = 50;
-  /// Latch shards of the shared buffer pool (clamped to buffer_pages).
-  /// More latch shards = less metadata contention between worker threads.
-  size_t pool_shards = 4;
   /// Per-shard PEB-tree configuration (shared by all shards).
   PebTreeOptions tree;
   /// Log-structured ingestion tuning.
@@ -155,22 +150,16 @@ struct EngineOptions {
     /// already buffering this many records first merges that shard inline
     /// (the writer stalls; queries never do). 0 = 8 * merge_threshold.
     size_t hard_cap = 0;
-    /// When non-zero, a background thread drains EVERY non-empty delta
-    /// each period — keeps read amplification low across writer idle gaps
-    /// without any ingest-path trigger. 0 (default) = no thread.
-    size_t background_merge_period_ms = 0;
   };
   DeltaIngestOptions delta;
   /// Durable storage. Default (empty path) keeps the in-memory disk — no
   /// behavior change for experiments that only measure I/O counts.
   struct DurabilityOptions {
     /// Database file path. Non-empty = durable engine: file-backed overlay
-    /// store at `path` plus a write-ahead log at `path + ".wal"`.
+    /// store at `path` plus a write-ahead log at `path + ".wal"`. The WAL is
+    /// fsynced after every logged mutation batch, so an OK ApplyBatch
+    /// survives a crash.
     std::string path;
-    /// fsync the WAL after every logged mutation batch (the durability
-    /// contract: an OK ApplyBatch survives a crash). Off trades that for
-    /// throughput — a crash may lose the un-synced suffix, never atomicity.
-    bool sync_each_batch = true;
     /// Allow fresh-engine construction to truncate a path that already
     /// holds a valid database. Off (the default) poisons the engine
     /// instead (durability_status() reports it): reopening a database is
@@ -242,7 +231,9 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   /// applied on worker threads through the same per-shard path update
   /// batches use). Queries hold the state lock shared, so 1-shard and
   /// N-shard engines expose identical epoch transitions — no query ever
-  /// sees half an epoch.
+  /// sees half an epoch. A durable engine journals an epoch barrier and
+  /// checkpoints with writers frozen from the barrier on, so no batch is
+  /// acknowledged between the two.
   Status AdoptSnapshot(std::shared_ptr<const EncodingSnapshot> snapshot,
                        const std::vector<UserId>* rekey) override;
   uint64_t encoding_epoch() const override;
@@ -324,7 +315,6 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
 
   // --- introspection --------------------------------------------------------
   const EngineOptions& options() const { return options_; }
-  const ShardRouter& router() const { return *router_; }
   size_t num_shards() const { return shards_.size(); }
   /// Frames of the shared pool (always exactly options().buffer_pages).
   size_t buffer_frames_total() const;
@@ -408,7 +398,8 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
 
   /// Appends one single-object mutation (Insert/Update/Delete) to the home
   /// shard's delta with a single tree's status codes, then publishes it.
-  /// Ids outside the encoding are rejected before routing.
+  /// Ids outside the encoding are rejected first: present_ is indexed by
+  /// id, and WAL replay feeds ids read from disk.
   Status IngestOne(const MovingObject& state, bool tombstone,
                    bool require_absent, bool require_present)
       EXCLUDES(ingest_mu_);
@@ -427,9 +418,9 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
 
   // --- durability internals -------------------------------------------------
   /// Journals `ops` as one kEvents record (one WAL record per logical
-  /// batch), syncing when durability.sync_each_batch. Called after the
-  /// in-RAM apply succeeded, from inside the caller's ingest or exclusive
-  /// state section — so record order in the log matches publication order.
+  /// batch) and syncs the log. Called after the in-RAM apply succeeded,
+  /// from inside the caller's ingest or exclusive state section — so
+  /// record order in the log matches publication order.
   /// No-op on in-memory engines and during recovery replay. Failure
   /// poisons the engine and propagates.
   Status LogOps(const std::vector<engine_wal::LoggedOp>& ops)
@@ -439,13 +430,19 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   /// data, replay just buffers more before its own merges).
   Status LogMerge() EXCLUDES(wal_mu_);
 
-  /// Checkpoint() body for callers already holding state_mu_ exclusive.
+  /// Checkpoint() for callers already holding state_mu_ exclusive.
   /// Additionally freezes ingest (state_mu_ -> ingest_mu_, see lock order)
-  /// so no kEvents record can slip between the delta merge below and the
-  /// WAL truncation at the end. `clean` marks the superblock's
+  /// and runs CheckpointFrozen. `clean` marks the superblock's
   /// clean-shutdown flag (destructor checkpoint only).
   Status CheckpointLocked(bool clean) REQUIRES(state_mu_)
       EXCLUDES(ingest_mu_, wal_mu_);
+
+  /// The checkpoint protocol, with writers already frozen: no kEvents
+  /// record can slip between the delta merge and the WAL truncation at the
+  /// end. AdoptSnapshot calls it directly, holding ingest_mu_ from its
+  /// epoch barrier on.
+  Status CheckpointFrozen(bool clean) REQUIRES(state_mu_, ingest_mu_)
+      EXCLUDES(wal_mu_);
 
   /// Merges every shard at or above the merge threshold (the ingest-path
   /// trigger; call WITHOUT ingest_mu_ held).
@@ -472,7 +469,6 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   /// Engine-level copy of the current snapshot (shard trees hold their
   /// own); written under the exclusive state lock, read under shared.
   std::shared_ptr<const EncodingSnapshot> snapshot_ GUARDED_BY(state_mu_);
-  std::unique_ptr<ShardRouter> router_;
   /// Verification inputs for the delta overlay (the pointees are mutated
   /// only inside RunExclusive sections, which exclude all queries).
   const PolicyStore* store_ = nullptr;
@@ -496,9 +492,10 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   /// First durability I/O failure, latched forever (see header comment).
   Status durability_error_ GUARDED_BY(wal_mu_);
   /// True while Open() replays the WAL through the normal mutation paths:
-  /// suppresses re-logging the records being replayed. Atomic because the
-  /// background merger can already be running during replay.
-  std::atomic<bool> replaying_{false};
+  /// suppresses re-logging the records being replayed. Plain bool, like
+  /// close_checkpoint_armed_ below: written only inside Open(), before the
+  /// engine is ever shared.
+  bool replaying_ = false;
   /// False while Open() owns a partially recovered engine: disarms the
   /// destructor's clean-shutdown checkpoint so a failed recovery cannot
   /// publish half-restored (or empty) state as a clean generation and
@@ -520,7 +517,7 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   std::vector<std::unique_ptr<ShardDelta>> deltas_;
   /// Serializes WRITERS only (seq assignment, presence bytes, batch
   /// publication). Queries never touch it — that is the whole point.
-  mutable Mutex ingest_mu_ ACQUIRED_BEFORE(merger_mu_);
+  mutable Mutex ingest_mu_;
   /// Seq of the most recently assigned ingest batch.
   uint64_t next_seq_ GUARDED_BY(ingest_mu_) = 0;
   /// One byte per encoded user: 1 while the user is present (tree or
@@ -538,12 +535,6 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   std::atomic<uint64_t> delta_merges_count_{0};
   std::atomic<uint64_t> delta_merged_records_{0};
   std::atomic<uint64_t> delta_backpressure_merges_{0};
-
-  /// Background merge thread (started when background_merge_period_ms > 0).
-  std::thread merger_;
-  mutable Mutex merger_mu_;
-  std::condition_variable_any merger_cv_;
-  bool merger_stop_ GUARDED_BY(merger_mu_) = false;
 
   /// Engine instruments (null when telemetry is disabled). Cached pointers
   /// into the registry, resolved once at construction.

@@ -178,12 +178,11 @@ Status Workload::SyncIndexesToCatalog() {
 
 std::unique_ptr<engine::ShardedPebEngine> MakeEngine(
     const Workload& workload, size_t num_shards, size_t num_threads,
-    engine::RouterPolicy policy, telemetry::TelemetryOptions telemetry) {
+    telemetry::TelemetryOptions telemetry) {
   const WorkloadParams& params = workload.params();
   engine::EngineOptions opts;
   opts.num_shards = num_shards;
   opts.num_threads = num_threads;
-  opts.router = policy;
   opts.buffer_pages = params.buffer_pages;
   opts.tree = PebOptionsFor(params);
   opts.telemetry = telemetry;

@@ -144,7 +144,6 @@ class Workload {
 /// buffer_pages, so engine I/O is directly comparable to the single tree.
 std::unique_ptr<engine::ShardedPebEngine> MakeEngine(
     const Workload& workload, size_t num_shards, size_t num_threads,
-    engine::RouterPolicy policy = engine::RouterPolicy::kHashUser,
     telemetry::TelemetryOptions telemetry = {});
 
 /// A deterministic clone of the workload's update stream (same dataset

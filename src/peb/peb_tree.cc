@@ -12,6 +12,18 @@
 
 namespace peb {
 
+namespace {
+
+/// SV runs coalesce friend rows whose quantized SVs differ by at most this
+/// much. Under the paper's grouping factor an issuer's friends concentrate
+/// on few, often consecutive quantized SVs, so per-row probing multiplies
+/// seek descents; a run scan walks the run's sparse adjacent rows once
+/// instead (extra entries are discarded by the wanted-set filter, so
+/// answers are unchanged). Applies to PRQ per-friend scans and PkNN.
+constexpr uint32_t kQsvRunGap = 1;
+
+}  // namespace
+
 PebTree::PebTree(BufferPool* pool, const PebTreeOptions& options,
                  const PolicyStore* store, const RoleRegistry* roles,
                  std::shared_ptr<const EncodingSnapshot> snapshot)
@@ -228,11 +240,11 @@ Status PebTree::ValidateInvariants() const {
 }
 
 std::vector<PebTree::SvRun> PebTree::BuildRuns(
-    const std::vector<FriendEntry>& friends, uint32_t gap) {
+    const std::vector<FriendEntry>& friends) {
   std::vector<SvRun> runs;
   runs.reserve(friends.size());
   for (const FriendEntry& f : friends) {  // Ascending (qsv, uid).
-    if (runs.empty() || f.qsv > runs.back().qsv_hi + gap) {
+    if (runs.empty() || f.qsv > runs.back().qsv_hi + kQsvRunGap) {
       runs.emplace_back();
       runs.back().qsv_lo = f.qsv;
     }
@@ -345,7 +357,7 @@ Result<std::vector<UserId>> PebTree::RangeQueryAmong(
   *c = QueryCounters{};
   switch (options_.prq_strategy) {
     case PrqStrategy::kPerFriendIntervals: {
-      std::vector<SvRun> runs = BuildRuns(friends, options_.index.qsv_run_gap);
+      std::vector<SvRun> runs = BuildRuns(friends);
       return RangeQueryPerFriend(issuer, range, tq, runs, shared, c);
     }
     case PrqStrategy::kSpanScan:
@@ -365,7 +377,6 @@ Result<std::vector<UserId>> PebTree::RangeQueryPerFriend(
   candidates.reserve(runs.size());
 
   ObjectBTree::LeafCursor cursor = tree_.NewCursor();
-  cursor.set_prefetch(options_.index.prefetch_next_leaf);
 
   for (const auto& [label, count] : label_counts_) {
     Timestamp tlab = options_.index.partitions.LabelTimestamp(label);
@@ -446,7 +457,6 @@ Result<std::vector<UserId>> PebTree::RangeQuerySpan(
   candidates.reserve(wanted.size());
 
   ObjectBTree::LeafCursor cursor = tree_.NewCursor();
-  cursor.set_prefetch(options_.index.prefetch_next_leaf);
 
   for (const auto& [label, count] : label_counts_) {
     Timestamp tlab = options_.index.partitions.LabelTimestamp(label);
@@ -552,13 +562,12 @@ PebTree::KnnScan::KnnScan(const PebTree* tree, UserId issuer, Point qloc,
       tq_(tq),
       rq_(rq),
       shared_(shared),
-      runs_(BuildRuns(friends, tree->options_.index.qsv_run_gap)) {
+      runs_(BuildRuns(friends)) {
   for (const SvRun& run : runs_) total_wanted_ += run.remaining;
   double space_diag = tree_->options_.index.space_side * std::numbers::sqrt2;
   while (RadiusForRound(max_rounds_ - 1) < space_diag) max_rounds_++;
 
   cursor_ = tree_->tree_.NewCursor();
-  cursor_.set_prefetch(tree_->options_.index.prefetch_next_leaf);
 
   // Snapshot the live labels (stable during the scan).
   const auto& opts = tree_->options_.index;

@@ -176,7 +176,7 @@ class PebTree final : public PrivacyAwareIndex {
  private:
   /// A run of the issuer's friends over consecutive quantized SVs
   /// (ascending; `qsv_lo == qsv_hi` for a single row). Rows whose SVs
-  /// differ by at most MovingIndexOptions::qsv_run_gap coalesce into one
+  /// differ by at most kQsvRunGap (peb_tree.cc) coalesce into one
   /// run, which costs ONE key-range scan [qsv_lo ⊕ ZVs, qsv_hi ⊕ ZVe]
   /// spanning the whole interval list instead of one probe per (row,
   /// interval): the run's rows are adjacent in key space and sparse, so a
@@ -422,10 +422,9 @@ class PebTree final : public PrivacyAwareIndex {
   };
 
   /// Groups a friend list (ascending by (qsv, uid)) into SV runs: rows
-  /// whose quantized SVs differ by at most `gap` coalesce into one run
-  /// (gap 0 = one run per distinct qsv).
-  static std::vector<SvRun> BuildRuns(const std::vector<FriendEntry>& friends,
-                                      uint32_t gap);
+  /// whose quantized SVs differ by at most kQsvRunGap coalesce into one
+  /// run.
+  static std::vector<SvRun> BuildRuns(const std::vector<FriendEntry>& friends);
 
   /// Scans composite keys [start, end_primary]. For every entry whose uid
   /// is in `wanted`, marks it found, appends its state, and decrements

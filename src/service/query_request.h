@@ -41,10 +41,6 @@ enum class QueryKind : uint8_t {
 
 /// Per-request execution options.
 struct RequestOptions {
-  /// Report QueryCounters and the per-query IoStats delta in the
-  /// response. Off leaves them zeroed; the response epoch is pinned
-  /// either way.
-  bool collect_counters = true;
   /// Soft deadline in milliseconds measured from submission (0 = none).
   /// A request that has already waited past its deadline when a worker
   /// picks it up is answered with ResourceExhausted instead of executing —
@@ -177,7 +173,7 @@ struct QueryResponse {
 
   /// The policy-encoding epoch this request executed against (queries pin
   /// it at admission; mutations report the epoch they published). Always
-  /// filled, independent of collect_counters.
+  /// filled.
   uint64_t epoch = 0;
   /// DefineRole answer.
   RoleId role_id = kInvalidRoleId;
@@ -188,10 +184,10 @@ struct QueryResponse {
   ReencodeStats reencode;
 
   /// THIS query's work counters — by value, exact under concurrent
-  /// submission (zeroed when collect_counters was off).
+  /// submission.
   QueryCounters counters;
   /// THIS query's buffer-pool traffic delta — by value, exact under
-  /// concurrent submission (zeroed when collect_counters was off).
+  /// concurrent submission.
   IoStats io;
 
   /// Milliseconds spent queued between Submit and execution start.

@@ -1,6 +1,5 @@
 #include "service/service.h"
 
-#include <fstream>
 #include <string>
 #include <utility>
 
@@ -53,15 +52,6 @@ MovingObjectService::MovingObjectService(PrivacyAwareIndex* index,
   InitTelemetry();
 }
 
-MovingObjectService::~MovingObjectService() {
-  {
-    MutexLock lock(&dumper_mu_);
-    stopping_ = true;
-  }
-  dumper_cv_.notify_all();
-  if (dumper_.joinable()) dumper_.join();
-}
-
 // ---------------------------------------------------------------------------
 // Telemetry
 // ---------------------------------------------------------------------------
@@ -90,27 +80,6 @@ void MovingObjectService::InitTelemetry() {
   if (t.slow_log_capacity > 0) {
     slow_log_ =
         std::make_unique<telemetry::SlowQueryLog>(t.slow_log_capacity);
-  }
-  if (!options_.stats_dump_path.empty() && options_.stats_dump_period_ms > 0) {
-    dumper_ = std::thread([this] {
-      const auto period =
-          std::chrono::milliseconds(options_.stats_dump_period_ms);
-      for (;;) {
-        {
-          MutexLock lock(&dumper_mu_);
-          dumper_cv_.wait_for(dumper_mu_, period, [this]() {
-            dumper_mu_.AssertHeld();
-            return stopping_;
-          });
-          if (stopping_) break;
-        }
-        // Snapshot outside the dumper lock: the registry has its own
-        // synchronization.
-        std::string line = registry_->SnapshotJson();
-        std::ofstream out(options_.stats_dump_path, std::ios::app);
-        out << line << '\n';
-      }
-    });
   }
 }
 
@@ -247,11 +216,9 @@ QueryResponse MovingObjectService::ExecuteTimed(const QueryRequest& request,
 QueryResponse MovingObjectService::DoRange(const QueryRequest& request) {
   QueryResponse response;
   response.kind = request.kind;
-  const bool collect = request.options.collect_counters;
-  // Stats are always gathered internally: the epoch must be pinned while
-  // the query holds its lock (reading it afterwards could name an epoch
-  // published in between). collect_counters only gates what the response
-  // reports.
+  // Stats are always gathered: the epoch must be pinned while the query
+  // holds its lock (reading it afterwards could name an epoch published in
+  // between), and the response carries the counters and I/O.
   QueryStats stats;
   std::unique_ptr<telemetry::TraceBuilder> tracer;
   size_t root = telemetry::TraceSpan::kNoParent;
@@ -277,10 +244,8 @@ QueryResponse MovingObjectService::DoRange(const QueryRequest& request) {
     response.status = result.status();
   }
   response.epoch = stats.epoch;
-  if (collect) {
-    response.counters = stats.counters;
-    response.io = stats.io;
-  }
+  response.counters = stats.counters;
+  response.io = stats.io;
   if (tracer != nullptr) {
     tracer->AddStats(root, stats.counters, stats.io);
     tracer->EndSpan(root);
@@ -293,8 +258,7 @@ QueryResponse MovingObjectService::DoRange(const QueryRequest& request) {
 QueryResponse MovingObjectService::DoKnn(const QueryRequest& request) {
   QueryResponse response;
   response.kind = request.kind;
-  const bool collect = request.options.collect_counters;
-  QueryStats stats;  // Always gathered: see DoRange on epoch pinning.
+  QueryStats stats;  // Always gathered: see DoRange.
   std::unique_ptr<telemetry::TraceBuilder> tracer;
   size_t root = telemetry::TraceSpan::kNoParent;
   if (ShouldTrace(request)) {
@@ -317,10 +281,8 @@ QueryResponse MovingObjectService::DoKnn(const QueryRequest& request) {
     response.status = result.status();
   }
   response.epoch = stats.epoch;
-  if (collect) {
-    response.counters = stats.counters;
-    response.io = stats.io;
-  }
+  response.counters = stats.counters;
+  response.io = stats.io;
   if (tracer != nullptr) {
     tracer->AddStats(root, stats.counters, stats.io);
     tracer->EndSpan(root);
@@ -334,8 +296,7 @@ QueryResponse MovingObjectService::DoContinuousRegister(
     const QueryRequest& request) {
   QueryResponse response;
   response.kind = request.kind;
-  const bool collect = request.options.collect_counters;
-  QueryStats stats;  // Always gathered: see DoRange on epoch pinning.
+  QueryStats stats;  // Always gathered: see DoRange.
 
   // Lock order: continuous state first, then the index (the seeding PRQ).
   // A concurrency-capable index (the engine) needs only the shared lock —
@@ -356,10 +317,8 @@ QueryResponse MovingObjectService::DoContinuousRegister(
     response.ids = std::move(*initial);
   }
   response.epoch = stats.epoch;
-  if (collect) {
-    response.counters = stats.counters;
-    response.io = stats.io;
-  }
+  response.counters = stats.counters;
+  response.io = stats.io;
   return response;
 }
 

@@ -40,12 +40,9 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <future>
 #include <memory>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "bxtree/privacy_index.h"
@@ -72,13 +69,9 @@ struct ServiceOptions {
   double time_domain = kDefaultTimeDomain;
   /// Service instruments (latency histograms, per-kind query and shed
   /// counters, queue depth, continuous-monitor and re-encode metrics),
-  /// trace sampling, and the slow-query log.
+  /// trace sampling, and the slow-query log. metrics()->SnapshotJson() is
+  /// the live-stats surface.
   telemetry::TelemetryOptions telemetry;
-  /// When non-empty, a background thread appends one registry
-  /// SnapshotJson() line to this file every stats_dump_period_ms — the
-  /// JSON-lines live-stats surface.
-  std::string stats_dump_path;
-  size_t stats_dump_period_ms = 1000;
 };
 
 class MovingObjectService {
@@ -97,9 +90,6 @@ class MovingObjectService {
 
   MovingObjectService(const MovingObjectService&) = delete;
   MovingObjectService& operator=(const MovingObjectService&) = delete;
-
-  /// Stops the stats-dumper thread and unhooks the registry.
-  ~MovingObjectService();
 
   // --- queries --------------------------------------------------------------
 
@@ -235,9 +225,8 @@ class MovingObjectService {
       EXCLUDES(continuous_mu_);
 
   /// Resolves every service instrument eagerly (a disconnected instrument
-  /// then reads zero in snapshots instead of being silently absent) and
-  /// starts the stats-dumper thread when configured. Called once from the
-  /// constructor.
+  /// then reads zero in snapshots instead of being silently absent).
+  /// Called once from the constructor.
   void InitTelemetry();
 
   /// Whether this request should carry a span tree: forced per-request or
@@ -295,12 +284,6 @@ class MovingObjectService {
   /// PRQ/PkNN admissions, for the every-Nth sampling decision.
   std::atomic<uint64_t> query_seq_{0};
   std::unique_ptr<telemetry::SlowQueryLog> slow_log_;
-
-  /// JSON-lines stats dumper (started when stats_dump_path is set).
-  std::thread dumper_;
-  Mutex dumper_mu_;
-  std::condition_variable_any dumper_cv_;
-  bool stopping_ GUARDED_BY(dumper_mu_) = false;
 
   engine::ThreadPool workers_;
 };

@@ -111,8 +111,7 @@ Result<size_t> BufferPool::GetVictimFrame(Shard& shard) {
   return Status::ResourceExhausted("all buffer frames are pinned");
 }
 
-Result<BufferFrame*> BufferPool::LoadPage(Shard& shard, PageId id, bool pin,
-                                          bool prefetch) {
+Result<BufferFrame*> BufferPool::LoadPage(Shard& shard, PageId id) {
   PEB_ASSIGN_OR_RETURN(size_t idx, GetVictimFrame(shard));
   BufferFrame& f = *shard.frames[idx];
   Status s;
@@ -125,13 +124,9 @@ Result<BufferFrame*> BufferPool::LoadPage(Shard& shard, PageId id, bool pin,
     return s;
   }
   shard.stats.physical_reads++;
-  if (tls_io_ != nullptr) {
-    tls_io_->physical_reads++;
-    if (prefetch) tls_io_->prefetch_reads++;
-  }
-  if (prefetch) shard.stats.prefetch_reads++;
+  if (tls_io_ != nullptr) tls_io_->physical_reads++;
   f.id = id;
-  f.pin_count.store(pin ? 1 : 0, std::memory_order_relaxed);
+  f.pin_count.store(1, std::memory_order_relaxed);
   f.dirty.store(false, std::memory_order_relaxed);
   f.referenced.store(true, std::memory_order_relaxed);
   shard.table[id] = idx;
@@ -190,8 +185,7 @@ Result<PageGuard> BufferPool::FetchPage(PageId id) {
         f.referenced.store(true, std::memory_order_relaxed);
         return PageGuard(this, &f);
       }
-      Result<BufferFrame*> f =
-          LoadPage(shard, id, /*pin=*/true, /*prefetch=*/false);
+      Result<BufferFrame*> f = LoadPage(shard, id);
       if (f.ok()) {
         shard.stats.logical_fetches++;
         if (tls_io_ != nullptr) tls_io_->logical_fetches++;
@@ -220,19 +214,6 @@ PageGuard BufferPool::FetchIfResident(PageId id) {
   f.pin_count.fetch_add(1, std::memory_order_acquire);
   f.referenced.store(true, std::memory_order_relaxed);
   return PageGuard(this, &f);
-}
-
-void BufferPool::Prefetch(PageId id) {
-  if (id == kInvalidPageId) return;
-  Shard& shard = ShardOf(id);
-  MutexLock lock(&shard.mu);
-  auto it = shard.table.find(id);
-  if (it != shard.table.end()) {
-    shard.frames[it->second]->referenced.store(true,
-                                               std::memory_order_relaxed);
-    return;
-  }
-  (void)LoadPage(shard, id, /*pin=*/false, /*prefetch=*/true);
 }
 
 Status BufferPool::DeletePage(PageId id) {

@@ -14,11 +14,6 @@
 //    (the hottest call: once per PageGuard) takes no latch at all.
 //  * An eviction of a dirty page writes it back first. Pinned pages are
 //    never evicted.
-//  * Prefetch(id) is an optional hint (used by the B+-tree leaf cursor for
-//    the next sibling leaf): it stages a page into the pool without
-//    pinning. Reads it performs are counted separately in
-//    IoStats.prefetch_reads (and in physical_reads, since they are disk
-//    reads), so figure benches that do not opt in are unaffected.
 //
 // DiskManager implementations are not thread-safe; the pool serializes all
 // disk calls behind one internal mutex (page I/O is a memcpy for the
@@ -60,7 +55,6 @@ struct IoStats {
   /// miss serves nothing and is not counted).
   uint64_t logical_fetches = 0;
   uint64_t cache_hits = 0;       ///< Served from the pool without disk I/O.
-  uint64_t prefetch_reads = 0;   ///< physical_reads issued by Prefetch().
   uint64_t evictions = 0;        ///< Resident pages displaced by the clock.
 
   /// Hit ratio in [0,1]; 0 when no fetches happened.
@@ -78,7 +72,6 @@ struct IoStats {
     physical_writes += o.physical_writes;
     logical_fetches += o.logical_fetches;
     cache_hits += o.cache_hits;
-    prefetch_reads += o.prefetch_reads;
     evictions += o.evictions;
     return *this;
   }
@@ -172,11 +165,6 @@ class BufferPool {
   /// page was served — the caller's fallback fetch will be). The leaf
   /// cursor uses this to walk sibling chains only while doing so is free.
   PageGuard FetchIfResident(PageId id);
-
-  /// Hints that `id` will be fetched soon: stages it into the pool without
-  /// pinning. Failure to stage (all frames pinned, read error) is silently
-  /// ignored — a hint must never fail a query.
-  void Prefetch(PageId id);
 
   /// Frees `id` on disk. The page must not be pinned.
   Status DeletePage(PageId id);
@@ -283,9 +271,8 @@ class BufferPool {
   Result<size_t> GetVictimFrame(Shard& shard) REQUIRES(shard.mu);
 
   /// Installs `id` into `shard` (latch held) reading it from disk; returns
-  /// the frame, pinned iff `pin`.
-  Result<BufferFrame*> LoadPage(Shard& shard, PageId id, bool pin,
-                                bool prefetch) REQUIRES(shard.mu);
+  /// the frame, pinned.
+  Result<BufferFrame*> LoadPage(Shard& shard, PageId id) REQUIRES(shard.mu);
 
   /// The thread's active per-query attribution target (see ThreadIoScope).
   static thread_local IoStats* tls_io_;

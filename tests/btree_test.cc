@@ -530,31 +530,6 @@ TEST_F(LeafCursorTest, EmptyTreeSeekIsInvalid) {
   EXPECT_FALSE(cursor.Valid());
 }
 
-TEST(LeafCursorPrefetch, WarmsTheNextLeafOnCrossings) {
-  // Pool (16 frames) much smaller than the tree, so sibling leaves are not
-  // resident when the cursor crosses into them.
-  InMemoryDiskManager disk;
-  BufferPool pool(&disk, BufferPoolOptions{16});
-  BTree<U64Traits> tree(&pool);
-  for (uint64_t i = 0; i < 20000; ++i) {
-    ASSERT_TRUE(tree.Insert(i, i).ok());
-  }
-  auto cursor = tree.NewCursor();
-  cursor.set_prefetch(true);
-  ASSERT_TRUE(cursor.SeekGE(0).ok());
-  pool.ResetStats();
-  for (int i = 0; i < 2000 && cursor.Valid(); ++i) {
-    ASSERT_TRUE(cursor.Next().ok());
-  }
-  IoStats st = pool.stats();
-  EXPECT_GT(st.prefetch_reads, 0u);
-  // After the first crossing (SeekGE itself does not prefetch), every leaf
-  // crossing found its leaf already staged by the previous crossing's
-  // prefetch: all those cursor fetches were hits.
-  EXPECT_GE(st.cache_hits + 1, st.logical_fetches);
-  EXPECT_GT(st.cache_hits, 0u);
-}
-
 TEST(ObjectBTree, RecordRoundtripPreservesAllFields) {
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{16});

@@ -4,18 +4,21 @@
 // prove the recovered engine bit-matches a never-crashed in-memory oracle
 // that applied exactly the committed batch prefix: identical PRQ and PkNN
 // answers, identical size, identical continuous-query event streams, and a
-// clean ValidateInvariants.
+// clean ValidateInvariants. Crashes around a policy re-key (the kRekey epoch
+// barrier and the checkpoint behind it) must keep every acknowledged batch.
 //
 // On failure, TearDown copies the database/WAL and writes hexdumps of the
 // superblocks and the log into crash-recovery-artifacts/ for CI upload.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -23,6 +26,7 @@
 #include "engine/sharded_engine.h"
 #include "eval/workload.h"
 #include "motion/update_stream.h"
+#include "pknn_expect.h"
 #include "service/service.h"
 #include "storage/fault_injection.h"
 #include "storage/wal.h"
@@ -51,6 +55,98 @@ WorkloadParams CrashParams() {
   return p;
 }
 
+/// The next `count` batches of `size` events from `stream`.
+std::vector<std::vector<UpdateEvent>> TakeBatches(UpdateStream* stream,
+                                                  size_t count, size_t size) {
+  std::vector<std::vector<UpdateEvent>> batches(count);
+  for (auto& batch : batches) {
+    for (size_t i = 0; i < size; ++i) batch.push_back(stream->Next());
+  }
+  return batches;
+}
+
+/// The objects of `initial` after the first `applied` batches.
+Dataset StateAfter(const Dataset& initial,
+                   const std::vector<std::vector<UpdateEvent>>& batches,
+                   size_t applied) {
+  Dataset out = initial;
+  std::vector<size_t> at(kUsers, out.objects.size());
+  for (size_t i = 0; i < out.objects.size(); ++i) at[out.objects[i].id] = i;
+  for (size_t b = 0; b < applied; ++b) {
+    for (const UpdateEvent& ev : batches[b]) {
+      out.objects[at[ev.state.id]] = ev.state;  // Batches update, never add.
+    }
+  }
+  return out;
+}
+
+/// Whether `engine` hosts exactly the objects of `want`, in their states.
+bool HoldsExactly(const ShardedPebEngine& engine, const Dataset& want) {
+  if (engine.size() != want.objects.size()) return false;
+  for (const MovingObject& o : want.objects) {
+    auto got = engine.GetObject(o.id);
+    if (!got.ok() || got->pos.x != o.pos.x || got->pos.y != o.pos.y ||
+        got->vel.x != o.vel.x || got->vel.y != o.vel.y || got->tu != o.tu) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Grants `owner` an open policy toward `peer` and re-encodes: the catalog
+/// publishes the next epoch.
+ReencodeResult GrantAndReencode(Workload& w, UserId owner, UserId peer) {
+  const RoleId role = w.catalog()->DefineRole("rekey");
+  EXPECT_TRUE(
+      w.catalog()->AddPolicy(owner, peer, testing::OpenPolicy(role)).ok());
+  auto result = w.catalog()->Reencode();
+  EXPECT_TRUE(result.ok()) << result.status();
+  return result.ok() ? *result : ReencodeResult{};
+}
+
+/// Reopens `w`'s database at the pre-adopt snapshot or, when Open() refuses
+/// it because the file was checkpointed under the next epoch, at the
+/// post-adopt one.
+Result<std::unique_ptr<ShardedPebEngine>> ReopenAtEither(
+    const Workload& w, const EngineOptions& opts,
+    std::shared_ptr<const EncodingSnapshot> pre,
+    std::shared_ptr<const EncodingSnapshot> post) {
+  auto opened = ShardedPebEngine::Open(opts, &w.store(), &w.roles(), pre);
+  if (opened.ok() || !opened.status().IsInvalidArgument()) return opened;
+  return ShardedPebEngine::Open(opts, &w.store(), &w.roles(), post);
+}
+
+/// PRQ and PkNN answers of `engine` equal to the Definition 2/3 brute-force
+/// oracles over `objects`; `issuer` asks first, random users after.
+void ExpectMatchesOracles(ShardedPebEngine& engine, const Workload& w,
+                          const Dataset& objects, UserId issuer,
+                          Timestamp tq) {
+  const double td = w.params().time_domain;
+  Rng rng(515151);
+  for (int q = 0; q < 14; ++q) {
+    const UserId who =
+        q == 0 ? issuer : static_cast<UserId>(rng.NextBelow(kUsers));
+    const Rect range = Rect::CenteredSquare(
+        {rng.Uniform(100, 900), rng.Uniform(100, 900)}, 380.0);
+    auto got = engine.RangeQuery(who, range, tq);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(*got, testing::BruteForcePrq(objects, w.store(), w.roles(), who,
+                                           range, tq, td))
+        << "PRQ " << q << " issuer " << who;
+  }
+  for (int q = 0; q < 8; ++q) {
+    const UserId who =
+        q == 0 ? issuer : static_cast<UserId>(rng.NextBelow(kUsers));
+    const Point qloc{rng.Uniform(100, 900), rng.Uniform(100, 900)};
+    auto got = engine.KnnQuery(who, qloc, 5, tq);
+    ASSERT_TRUE(got.ok()) << got.status();
+    testing::ExpectSamePknn(
+        testing::BruteForcePknn(objects, w.store(), w.roles(), who, qloc, 5,
+                                tq, td),
+        *got, "PkNN " + std::to_string(q) + " issuer " + std::to_string(who));
+  }
+}
+
 class CrashRecoveryTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -59,12 +155,8 @@ class CrashRecoveryTest : public ::testing::Test {
     // into batches up front so "the committed prefix" is well defined.
     auto stream = eval::CloneUniformUpdateStream(*world_);
     ASSERT_NE(stream, nullptr);
-    batches_ = new std::vector<std::vector<UpdateEvent>>();
-    for (size_t b = 0; b < kBatches; ++b) {
-      std::vector<UpdateEvent> batch;
-      for (size_t i = 0; i < kBatchSize; ++i) batch.push_back(stream->Next());
-      batches_->push_back(std::move(batch));
-    }
+    batches_ = new std::vector<std::vector<UpdateEvent>>(
+        TakeBatches(stream.get(), kBatches, kBatchSize));
   }
   static void TearDownTestSuite() {
     delete world_;
@@ -493,6 +585,154 @@ TEST_F(CrashRecoveryTest, ContinuousEventStreamsMatchAfterRecovery) {
               *oracle_svc.ContinuousResult(reg_b.continuous_id))
         << "batch " << b;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Policy re-keys across a crash
+// ---------------------------------------------------------------------------
+
+// Regression: AdoptSnapshot appended its kRekey barrier before freezing
+// writers, so a batch could be logged — and acknowledged — between the
+// barrier and the checkpoint that retires it. Recovery stops at an
+// uncommitted barrier, so a crash inside that checkpoint lost the batch.
+// Here a writer races every adopt, with the crash armed at a seeded write.
+TEST_F(CrashRecoveryTest, AcknowledgedBatchesSurviveACrashDuringRekey) {
+  constexpr size_t kIterations = 40;
+  constexpr size_t kEventsPerBatch = 8;
+  Workload w = Workload::Build(CrashParams());
+  Rng rng(1207);
+  EngineOptions opts = DurableOptions(nullptr, /*checkpoint_on_close=*/false);
+  opts.num_shards = 4;
+  opts.num_threads = 2;
+  for (size_t it = 0; it < kIterations; ++it) {
+    std::remove(path_.c_str());
+    std::remove((path_ + ".wal").c_str());
+    const auto pre = w.catalog()->snapshot();
+    const UserId owner = static_cast<UserId>(rng.NextBelow(kUsers));
+    const UserId peer = static_cast<UserId>(
+        (owner + 1 + rng.NextBelow(kUsers - 1)) % kUsers);
+    const ReencodeResult next = GrantAndReencode(w, owner, peer);
+    const int64_t crash_after = static_cast<int64_t>(2 + rng.NextBelow(40));
+
+    auto stream = eval::CloneUniformUpdateStream(w);
+    std::vector<std::vector<UpdateEvent>> attempted;
+    std::atomic<size_t> acked{0};
+    {
+      FaultInjector injector;
+      EngineOptions crashing = opts;
+      crashing.durability.fault_injector = &injector;
+      ShardedPebEngine engine(crashing, &w.store(), &w.roles(), pre);
+      ASSERT_TRUE(engine.LoadDataset(w.dataset()).ok());
+      std::atomic<bool> stop{false};
+      std::thread writer([&] {
+        while (!stop.load(std::memory_order_acquire)) {
+          attempted.push_back(TakeBatches(stream.get(), 1, kEventsPerBatch)[0]);
+          if (!engine.ApplyBatch(attempted.back()).ok()) return;
+          acked.fetch_add(1, std::memory_order_release);
+        }
+      });
+      while (acked.load(std::memory_order_acquire) < 2) {
+        std::this_thread::yield();
+      }
+      injector.writes_until_crash.store(crash_after);
+      (void)engine.AdoptSnapshot(next.snapshot, &next.rekeyed);
+      stop.store(true, std::memory_order_release);
+      writer.join();
+    }  // No close checkpoint: teardown is a crash.
+
+    auto reopened = ReopenAtEither(w, opts, pre, next.snapshot);
+    ASSERT_TRUE(reopened.ok()) << "iteration " << it << ": "
+                               << reopened.status();
+    // An errored batch promises only atomicity: it may be durable or not.
+    const size_t ok = acked.load();
+    bool holds =
+        HoldsExactly(**reopened, StateAfter(w.dataset(), attempted, ok));
+    if (!holds && attempted.size() > ok) {
+      holds = HoldsExactly(**reopened,
+                           StateAfter(w.dataset(), attempted, ok + 1));
+    }
+    EXPECT_TRUE(holds) << "iteration " << it << " (crash after "
+                       << crash_after << " writes): the " << ok
+                       << " acknowledged batches did not all survive";
+    EXPECT_TRUE((*reopened)->ValidateInvariants().ok()) << "iteration " << it;
+  }
+}
+
+// A crash inside the checkpoint behind a re-key's epoch barrier: recovery
+// stops at the uncommitted barrier and reopens at the pre-adopt epoch with
+// every acknowledged batch. Finishing the interrupted adopt then answers
+// like the brute-force oracles.
+TEST_F(CrashRecoveryTest, CrashAfterRekeyBarrierReopensAtPreAdoptEpoch) {
+  Workload w = Workload::Build(CrashParams());
+  auto stream = eval::CloneUniformUpdateStream(w);
+  const auto batches = TakeBatches(stream.get(), 4, kBatchSize);
+  const auto pre = w.catalog()->snapshot();
+  const EngineOptions opts = DurableOptions(nullptr, false);
+  ReencodeResult next;
+  {
+    FaultInjector injector;
+    ShardedPebEngine engine(DurableOptions(&injector, false), &w.store(),
+                            &w.roles(), pre);
+    ASSERT_TRUE(engine.LoadDataset(w.dataset()).ok());
+    for (const auto& batch : batches) {
+      ASSERT_TRUE(engine.ApplyBatch(batch).ok());
+    }
+    next = GrantAndReencode(w, 17, 230);
+    // The barrier lands; the checkpoint crashes a few writes behind it.
+    injector.writes_until_crash.store(3);
+    EXPECT_FALSE(engine.AdoptSnapshot(next.snapshot, &next.rekeyed).ok());
+  }
+  auto records = WriteAheadLog::ReadAll(path_ + ".wal");
+  ASSERT_TRUE(records.ok()) << records.status();
+  size_t barriers = 0, commits = 0;
+  for (const WalRecord& rec : *records) {
+    barriers += rec.type == engine_wal::kRekey;
+    commits += rec.type == engine_wal::kCheckpoint;
+  }
+  EXPECT_EQ(barriers, 1u);
+  EXPECT_EQ(commits, 0u);
+
+  auto reopened =
+      ShardedPebEngine::Open(opts, &w.store(), &w.roles(), pre);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->encoding_epoch(), pre->epoch());
+  const Dataset want = StateAfter(w.dataset(), batches, batches.size());
+  EXPECT_TRUE(HoldsExactly(**reopened, want));
+  ASSERT_TRUE(
+      (*reopened)->AdoptSnapshot(next.snapshot, &next.rekeyed).ok());
+  ExpectMatchesOracles(**reopened, w, want, 230, batches.back().back().t);
+}
+
+// A clean close after a re-key checkpointed under the new epoch: only the
+// post-adopt snapshot opens the database, which holds the batches from
+// both sides of the adopt.
+TEST_F(CrashRecoveryTest, CleanCloseAfterRekeyReopensAtPostAdoptEpoch) {
+  Workload w = Workload::Build(CrashParams());
+  auto stream = eval::CloneUniformUpdateStream(w);
+  const auto batches = TakeBatches(stream.get(), 4, kBatchSize);
+  const auto pre = w.catalog()->snapshot();
+  const EngineOptions opts = DurableOptions(nullptr, true);
+  ReencodeResult next;
+  {
+    ShardedPebEngine engine(opts, &w.store(), &w.roles(), pre);
+    ASSERT_TRUE(engine.LoadDataset(w.dataset()).ok());
+    ASSERT_TRUE(engine.ApplyBatch(batches[0]).ok());
+    ASSERT_TRUE(engine.ApplyBatch(batches[1]).ok());
+    next = GrantAndReencode(w, 17, 230);
+    ASSERT_TRUE(engine.AdoptSnapshot(next.snapshot, &next.rekeyed).ok());
+    ASSERT_TRUE(engine.ApplyBatch(batches[2]).ok());
+    ASSERT_TRUE(engine.ApplyBatch(batches[3]).ok());
+  }  // Clean close: checkpoints under the post-adopt epoch.
+  EXPECT_TRUE(ShardedPebEngine::Open(opts, &w.store(), &w.roles(), pre)
+                  .status()
+                  .IsInvalidArgument());
+  auto reopened =
+      ShardedPebEngine::Open(opts, &w.store(), &w.roles(), next.snapshot);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->encoding_epoch(), next.snapshot->epoch());
+  const Dataset want = StateAfter(w.dataset(), batches, batches.size());
+  EXPECT_TRUE(HoldsExactly(**reopened, want));
+  ExpectMatchesOracles(**reopened, w, want, 230, batches.back().back().t);
 }
 
 // ---------------------------------------------------------------------------

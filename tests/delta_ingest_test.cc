@@ -1,12 +1,12 @@
 // Log-structured ingestion tests: every response of the delta-ingesting
 // engine — PRQ, PkNN, GetObject, size, continuous-query results and event
 // streams — must equal the reference state after the same operations, across
-// shard counts and router policies, under randomized interleavings of update
-// batches, joins/leaves, queries, and explicit merges. The reference is a
-// mirror Dataset of the live objects (answered by the Definition 2/3
-// brute-force oracles) plus a plain PebTree fed the same operations (for
-// the continuous-query monitor). A concurrent smoke (background merge thread
-// + writers + readers) runs under the TSan CI job.
+// shard counts, under randomized interleavings of update batches,
+// joins/leaves, queries, and explicit merges. The reference is a mirror
+// Dataset of the live objects (answered by the Definition 2/3 brute-force
+// oracles) plus a plain PebTree fed the same operations (for the
+// continuous-query monitor). A concurrent smoke (a merging thread + writers +
+// readers) runs under the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include <random>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -31,7 +30,6 @@ namespace peb {
 namespace {
 
 using engine::EngineOptions;
-using engine::RouterPolicy;
 using engine::ShardedPebEngine;
 using eval::CloneUniformUpdateStream;
 using eval::MakePknnQueries;
@@ -41,18 +39,16 @@ using eval::Workload;
 using eval::WorkloadParams;
 
 std::unique_ptr<ShardedPebEngine> MakeDeltaEngine(
-    Workload& w, size_t shards, RouterPolicy router, size_t merge_threshold,
-    size_t hard_cap = 0, size_t background_ms = 0, bool paranoid = true) {
+    Workload& w, size_t shards, size_t merge_threshold, size_t hard_cap = 0,
+    bool paranoid = true) {
   EngineOptions opts;
   opts.num_shards = shards;
   opts.num_threads = shards == 1 ? 0 : 4;
-  opts.router = router;
   opts.buffer_pages = w.params().buffer_pages;
   opts.tree = eval::PebOptionsFor(w.params());
   opts.tree.index.paranoid_checks = paranoid;
   opts.delta.merge_threshold = merge_threshold;
   opts.delta.hard_cap = hard_cap;
-  opts.delta.background_merge_period_ms = background_ms;
   auto engine = std::make_unique<ShardedPebEngine>(
       opts, &w.store(), &w.roles(), w.catalog()->snapshot());
   EXPECT_TRUE(engine->LoadDataset(w.dataset()).ok());
@@ -130,7 +126,7 @@ void ExpectMatchesMirror(Workload& w, ShardedPebEngine& engine,
 
 /// An id the probes below use: mostly a real user, sometimes one outside
 /// the policy encoding (just past it, or far past it), which must be
-/// rejected before routing.
+/// rejected before it indexes any per-user state.
 UserId ProbeId(std::mt19937& rng, size_t num_users) {
   switch (rng() % 8) {
     case 0:
@@ -146,11 +142,10 @@ UserId ProbeId(std::mt19937& rng, size_t num_users) {
 // Randomized interleaving vs the mirror
 // ---------------------------------------------------------------------------
 
-class DeltaIngestOracleTest
-    : public ::testing::TestWithParam<std::tuple<size_t, RouterPolicy>> {};
+class DeltaIngestOracleTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesMirror) {
-  const auto [shards, router] = GetParam();
+  const size_t shards = GetParam();
   WorkloadParams wp;
   wp.num_users = 500;
   wp.policies_per_user = 10;
@@ -161,7 +156,7 @@ TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesMirror) {
 
   // Small merge threshold so the interleaving crosses many merge points;
   // paranoid_checks audits delta/tree agreement inside every one of them.
-  auto engine = MakeDeltaEngine(w, shards, router, /*merge_threshold=*/48);
+  auto engine = MakeDeltaEngine(w, shards, /*merge_threshold=*/48);
   Mirror mirror(w.dataset());
 
   // The continuous-query reference: a plain PEB-tree (one update path) fed
@@ -203,8 +198,7 @@ TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesMirror) {
     EXPECT_EQ(mon_engine.TakeEvents(), mon_ref.TakeEvents());
   }
 
-  const std::string tag = std::to_string(shards) + " shards, router " +
-                          std::to_string(static_cast<int>(router));
+  const std::string tag = std::to_string(shards) + " shards";
   std::mt19937 rng(1000 + shards);
 
   auto check_continuous = [&](const std::string& context) {
@@ -348,7 +342,7 @@ TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesMirror) {
 }
 
 TEST_P(DeltaIngestOracleTest, RejoinOverBufferedTombstone) {
-  const auto [shards, router] = GetParam();
+  const size_t shards = GetParam();
   WorkloadParams wp;
   wp.num_users = 300;
   wp.policies_per_user = 8;
@@ -358,11 +352,9 @@ TEST_P(DeltaIngestOracleTest, RejoinOverBufferedTombstone) {
   Workload w = Workload::Build(wp);
   // Threshold high enough that no merge runs until the explicit one, so
   // every Insert below meets its user's tombstone in the delta.
-  auto engine = MakeDeltaEngine(w, shards, router,
-                                /*merge_threshold=*/1u << 20);
+  auto engine = MakeDeltaEngine(w, shards, /*merge_threshold=*/1u << 20);
   Mirror mirror(w.dataset());
-  const std::string tag = std::to_string(shards) + " shards, router " +
-                          std::to_string(static_cast<int>(router));
+  const std::string tag = std::to_string(shards) + " shards";
 
   const Timestamp now = w.params().delta_t_mu;
   for (UserId uid = 0; uid < 20; ++uid) {
@@ -393,11 +385,8 @@ TEST_P(DeltaIngestOracleTest, RejoinOverBufferedTombstone) {
   ASSERT_TRUE(engine->ValidateInvariants().ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ShardsAndRouters, DeltaIngestOracleTest,
-    ::testing::Combine(::testing::Values(size_t{1}, size_t{4}),
-                       ::testing::Values(RouterPolicy::kHashUser,
-                                         RouterPolicy::kSvRange)));
+INSTANTIATE_TEST_SUITE_P(ShardCounts, DeltaIngestOracleTest,
+                         ::testing::Values(size_t{1}, size_t{4}));
 
 // ---------------------------------------------------------------------------
 // Backpressure
@@ -412,8 +401,7 @@ TEST(DeltaIngestBackpressure, HardCapForcesInlineMergeOnTheWriter) {
   wp.seed = 31;
   Workload w = Workload::Build(wp);
   // Threshold high enough that only the hard cap can trigger merges.
-  auto engine = MakeDeltaEngine(w, 2, RouterPolicy::kHashUser,
-                                /*merge_threshold=*/1u << 20,
+  auto engine = MakeDeltaEngine(w, 2, /*merge_threshold=*/1u << 20,
                                 /*hard_cap=*/32);
   Mirror mirror(w.dataset());
   auto stream = CloneUniformUpdateStream(w);
@@ -434,7 +422,7 @@ TEST(DeltaIngestBackpressure, HardCapForcesInlineMergeOnTheWriter) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent smoke: background merge thread + writers + readers (TSan)
+// Concurrent smoke: merging thread + writers + readers (TSan)
 // ---------------------------------------------------------------------------
 
 TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndBackgroundMerges) {
@@ -445,11 +433,11 @@ TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndBackgroundMerges) {
   wp.grid_bits = 8;
   wp.seed = 37;
   Workload w = Workload::Build(wp);
-  // Background merges every 1ms race the foreground traffic; paranoid off
-  // so merge sections stay short and the interleaving space stays large.
-  auto engine = MakeDeltaEngine(w, 4, RouterPolicy::kHashUser,
-                                /*merge_threshold=*/32, /*hard_cap=*/0,
-                                /*background_ms=*/1, /*paranoid=*/false);
+  // A merging thread drains every delta each 1ms, racing the foreground
+  // traffic; paranoid off so merge sections stay short and the
+  // interleaving space stays large.
+  auto engine = MakeDeltaEngine(w, 4, /*merge_threshold=*/32, /*hard_cap=*/0,
+                                /*paranoid=*/false);
   auto stream = CloneUniformUpdateStream(w);
 
   constexpr size_t kBatches = 60;
@@ -524,9 +512,16 @@ TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndBackgroundMerges) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });
+  std::thread merger([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      EXPECT_TRUE(engine->MergeDeltas().ok());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
   writer.join();
   for (auto& t : readers) t.join();
   validator.join();
+  merger.join();
 
   // Settle and compare against the mirror at the same prefix. The writer's
   // statuses follow from membership alone (batches upsert, so a batch may

@@ -1,7 +1,7 @@
 // ShardedPebEngine tests: the engine must be an observationally equivalent
 // drop-in for the single PEB-tree — PRQ and PkNN answers identical for any
-// shard count, router policy, and thread count, with and without batched
-// updates interleaved between query batches.
+// shard count and thread count, with and without batched updates
+// interleaved between query batches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +23,6 @@
 namespace peb {
 namespace {
 
-using engine::RouterPolicy;
 using engine::ShardedPebEngine;
 using engine::ThreadPool;
 using eval::MakeEngine;
@@ -58,7 +57,7 @@ TEST(ThreadPool, ZeroWorkersRunsInline) {
 }
 
 // ---------------------------------------------------------------------------
-// Routers
+// Routing
 // ---------------------------------------------------------------------------
 
 class EngineWorldTest : public ::testing::Test {
@@ -85,35 +84,22 @@ class EngineWorldTest : public ::testing::Test {
 Workload* EngineWorldTest::world_ = nullptr;
 
 TEST_F(EngineWorldTest, RoutersAreStableAndInRange) {
-  for (RouterPolicy policy : {RouterPolicy::kHashUser, RouterPolicy::kSvRange}) {
-    auto router =
-        engine::MakeRouter(policy, 7, world().catalog()->snapshot());
-    ASSERT_NE(router, nullptr);
-    std::vector<size_t> population(7, 0);
-    for (UserId u = 0; u < world().params().num_users; ++u) {
-      size_t s = router->ShardOf(u);
-      ASSERT_LT(s, 7u);
-      EXPECT_EQ(s, router->ShardOf(u));  // Stable.
-      population[s]++;
-    }
-    // No shard grossly overloaded (quantized SVs collide, so sv-range cuts
-    // are only approximately even).
-    for (size_t s = 0; s < 7; ++s) {
-      EXPECT_LT(population[s], world().params().num_users / 2)
-          << "policy " << static_cast<int>(policy) << " shard " << s;
-    }
+  std::vector<size_t> population(7, 0);
+  for (UserId u = 0; u < world().params().num_users; ++u) {
+    size_t s = engine::ShardOf(u, 7);
+    ASSERT_LT(s, 7u);
+    EXPECT_EQ(s, engine::ShardOf(u, 7));  // Stable.
+    population[s]++;
   }
-}
-
-TEST_F(EngineWorldTest, SvRangeRouterKeepsEqualSvsTogether) {
-  engine::SvRangeRouter router(4, world().catalog()->snapshot());
-  const auto& enc = world().encoding();
-  for (UserId a = 0; a < world().params().num_users; ++a) {
-    for (UserId b = a + 1; b < world().params().num_users && b < a + 20; ++b) {
-      if (enc.quantized_sv(a) == enc.quantized_sv(b)) {
-        EXPECT_EQ(router.ShardOf(a), router.ShardOf(b));
-      }
-    }
+  // No shard grossly overloaded.
+  for (size_t s = 0; s < 7; ++s) {
+    EXPECT_LT(population[s], world().params().num_users / 2) << "shard " << s;
+  }
+  // Routing is part of the database format (a reopened engine must find
+  // every user in the shard that saved it), so the assignment is pinned.
+  const std::vector<size_t> pinned = {3, 1, 2, 1, 2, 2, 0, 3, 2, 0, 2, 1};
+  for (UserId u = 0; u < pinned.size(); ++u) {
+    EXPECT_EQ(engine::ShardOf(u, 4), pinned[u]) << "user " << u;
   }
 }
 
@@ -162,7 +148,6 @@ void ExpectSameAnswers(Workload& w, ShardedPebEngine& engine,
 struct EquivalenceParams {
   size_t shards;
   size_t threads;
-  RouterPolicy policy;
 };
 
 class EngineEquivalenceTest
@@ -177,7 +162,7 @@ TEST_P(EngineEquivalenceTest, MatchesSingleTree) {
   wp.grid_bits = 8;
   wp.seed = 11;
   Workload w = Workload::Build(wp);
-  auto engine = MakeEngine(w, p.shards, p.threads, p.policy);
+  auto engine = MakeEngine(w, p.shards, p.threads);
   ASSERT_EQ(engine->num_shards(), p.shards);
   ASSERT_EQ(engine->size(), w.peb().size());
 
@@ -191,14 +176,8 @@ TEST_P(EngineEquivalenceTest, MatchesSingleTree) {
 
 INSTANTIATE_TEST_SUITE_P(
     ShardCounts, EngineEquivalenceTest,
-    ::testing::Values(
-        EquivalenceParams{1, 0, RouterPolicy::kHashUser},
-        EquivalenceParams{2, 2, RouterPolicy::kHashUser},
-        EquivalenceParams{4, 4, RouterPolicy::kHashUser},
-        EquivalenceParams{7, 3, RouterPolicy::kHashUser},
-        EquivalenceParams{2, 2, RouterPolicy::kSvRange},
-        EquivalenceParams{4, 4, RouterPolicy::kSvRange},
-        EquivalenceParams{7, 3, RouterPolicy::kSvRange}));
+    ::testing::Values(EquivalenceParams{1, 0}, EquivalenceParams{2, 2},
+                      EquivalenceParams{4, 4}, EquivalenceParams{7, 3}));
 
 // ---------------------------------------------------------------------------
 // Equivalence with batched updates interleaved between query batches
@@ -365,38 +344,33 @@ TEST_F(EngineWorldTest, EngineMatchesBruteForce) {
 // ---------------------------------------------------------------------------
 
 // An unknown id must be rejected (or, in a re-key list, skipped) before it
-// reaches the router: the sv-range router indexes per-user state by id, and
-// WAL replay feeds ids read from disk. Statuses match the single tree's.
+// reaches any per-user state: the presence bytes are indexed by id, and WAL
+// replay feeds ids read from disk. Statuses match the single tree's.
 TEST_F(EngineWorldTest, OutOfRangeIdsAreRejectedBeforeRouting) {
-  for (RouterPolicy policy :
-       {RouterPolicy::kHashUser, RouterPolicy::kSvRange}) {
-    auto engine = MakeEngine(world(), 4, 0, policy);
-    const size_t before = engine->size();
-    for (UserId id : {static_cast<UserId>(world().params().num_users),
-                      UserId{4000000000u}}) {
-      const std::string context = "policy " +
-                                  std::to_string(static_cast<int>(policy)) +
-                                  " id " + std::to_string(id);
-      EXPECT_TRUE(engine->GetObject(id).status().IsNotFound()) << context;
-      EXPECT_TRUE(engine->Delete(id).IsNotFound()) << context;
-      MovingObject obj;
-      obj.id = id;
-      EXPECT_TRUE(engine->Insert(obj).IsInvalidArgument()) << context;
-      EXPECT_TRUE(engine->Update(obj).IsInvalidArgument()) << context;
-      EXPECT_TRUE(
-          engine->ApplyBatch({UpdateEvent{0.0, obj}}).IsInvalidArgument())
-          << context;
-      Dataset bulk;
-      bulk.objects.push_back(obj);
-      EXPECT_TRUE(engine->LoadDataset(bulk).IsInvalidArgument()) << context;
-      const std::vector<UserId> rekey = {id};
-      EXPECT_TRUE(
-          engine->AdoptSnapshot(world().catalog()->snapshot(), &rekey).ok())
-          << context;
-    }
-    EXPECT_EQ(engine->size(), before);
-    EXPECT_TRUE(engine->ValidateInvariants().ok());
+  auto engine = MakeEngine(world(), 4, 0);
+  const size_t before = engine->size();
+  for (UserId id : {static_cast<UserId>(world().params().num_users),
+                    UserId{4000000000u}}) {
+    const std::string context = "id " + std::to_string(id);
+    EXPECT_TRUE(engine->GetObject(id).status().IsNotFound()) << context;
+    EXPECT_TRUE(engine->Delete(id).IsNotFound()) << context;
+    MovingObject obj;
+    obj.id = id;
+    EXPECT_TRUE(engine->Insert(obj).IsInvalidArgument()) << context;
+    EXPECT_TRUE(engine->Update(obj).IsInvalidArgument()) << context;
+    EXPECT_TRUE(
+        engine->ApplyBatch({UpdateEvent{0.0, obj}}).IsInvalidArgument())
+        << context;
+    Dataset bulk;
+    bulk.objects.push_back(obj);
+    EXPECT_TRUE(engine->LoadDataset(bulk).IsInvalidArgument()) << context;
+    const std::vector<UserId> rekey = {id};
+    EXPECT_TRUE(
+        engine->AdoptSnapshot(world().catalog()->snapshot(), &rekey).ok())
+        << context;
   }
+  EXPECT_EQ(engine->size(), before);
+  EXPECT_TRUE(engine->ValidateInvariants().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -453,7 +427,7 @@ TEST_F(EngineWorldTest, LoadDatasetIsAllOrNothing) {
 // A snapshot the engine cannot key by is refused before anything is
 // swapped: queries keep answering from the snapshot the engine already had.
 TEST_F(EngineWorldTest, RejectedAdoptSnapshotLeavesEngineUnchanged) {
-  auto engine = MakeEngine(world(), 4, 2, RouterPolicy::kSvRange);
+  auto engine = MakeEngine(world(), 4, 2);
   const UserId issuer = 300;
   const Rect range = Rect::CenteredSquare({500, 500}, 600.0);
   const Timestamp tq = world().now();

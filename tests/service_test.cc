@@ -161,19 +161,6 @@ TEST(ServiceExecute, AnswersMatchIndexAndCarryExactStats) {
   }
 }
 
-TEST(ServiceExecute, CollectCountersOffLeavesStatsZero) {
-  Workload w = Workload::Build(SmallParams(33));
-  QueryRequest request = QueryRequest::Prq(2, {{300, 300}, {700, 700}},
-                                           w.now());
-  request.options.collect_counters = false;
-  QueryResponse resp = w.peb_service().Execute(request);
-  ASSERT_TRUE(resp.ok());
-  EXPECT_EQ(resp.counters.candidates_examined, 0u);
-  EXPECT_EQ(resp.counters.range_probes, 0u);
-  EXPECT_EQ(resp.io.logical_fetches, 0u);
-  EXPECT_EQ(resp.io.physical_reads, 0u);
-}
-
 TEST(ServiceExecute, ValidationErrorsSurfaceInResponses) {
   Workload w = Workload::Build(SmallParams(34));
   MovingObjectService& svc = w.peb_service();

@@ -457,30 +457,6 @@ TEST_F(BufferPoolTest, ShardCountIsClampedToCapacity) {
   EXPECT_EQ(pool_->stats().physical_reads, 3u);
 }
 
-TEST_F(BufferPoolTest, PrefetchStagesWithoutPinning) {
-  MakePool(4);
-  auto ids = Preallocate(2);
-  pool_->Prefetch(ids[0]);
-  EXPECT_EQ(pool_->PinCount(ids[0]), 0);
-  EXPECT_EQ(pool_->stats().physical_reads, 1u);
-  EXPECT_EQ(pool_->stats().prefetch_reads, 1u);
-  EXPECT_EQ(pool_->stats().logical_fetches, 0u);  // Not a fetch.
-  {
-    auto g = pool_->FetchPage(ids[0]);  // Arrives already resident.
-    ASSERT_TRUE(g.ok());
-  }
-  EXPECT_EQ(pool_->stats().cache_hits, 1u);
-  EXPECT_EQ(pool_->stats().physical_reads, 1u);
-  // Prefetching a resident page or an invalid id is a no-op.
-  pool_->Prefetch(ids[0]);
-  pool_->Prefetch(kInvalidPageId);
-  EXPECT_EQ(pool_->stats().physical_reads, 1u);
-  // A failed prefetch (unallocated page) is silently ignored.
-  pool_->Prefetch(999);
-  EXPECT_EQ(pool_->stats().prefetch_reads, 1u);
-  { auto g = pool_->FetchPage(ids[1]); ASSERT_TRUE(g.ok()); }
-}
-
 // Concurrent torture: parallel Fetch/MarkDirty/evict traffic across shards.
 // Writer threads own disjoint page subsets and bump a per-page counter on
 // every visit; reader threads fetch random pages. The pool is much smaller

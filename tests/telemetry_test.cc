@@ -133,8 +133,7 @@ TEST(TelemetryTrace, FourShardPknnProducesShardAndRoundSpans) {
   telemetry::MetricsRegistry registry;
   telemetry::TelemetryOptions topts;
   topts.registry = &registry;
-  auto engine = MakeEngine(w, /*num_shards=*/4, /*num_threads=*/2,
-                           engine::RouterPolicy::kHashUser, topts);
+  auto engine = MakeEngine(w, /*num_shards=*/4, /*num_threads=*/2, topts);
   service::ServiceOptions so;
   so.time_domain = p.time_domain;
   so.telemetry = topts;

@@ -129,8 +129,7 @@ struct Shell {
                 engine_shards, engine_threads);
     telemetry::TelemetryOptions topts;
     topts.registry = &registry;
-    eng = MakeEngine(*world, engine_shards, engine_threads,
-                     engine::RouterPolicy::kHashUser, topts);
+    eng = MakeEngine(*world, engine_shards, engine_threads, topts);
     use_engine = enable;
     RebindService();
     std::printf("engine ready (%zu users)%s\n", eng->size(),
@@ -397,10 +396,8 @@ struct Shell {
     }
     if (eng != nullptr) {
       const auto& eio = eng->aggregate_io();
-      std::printf("engine   : %zu shard(s) x %zu thread(s), %s routing, "
-                  "%s\n", eng->num_shards(),
-                  eng->threads().num_threads(),
-                  std::string(eng->router().name()).c_str(),
+      std::printf("engine   : %zu shard(s) x %zu thread(s), %s\n",
+                  eng->num_shards(), eng->threads().num_threads(),
                   use_engine ? "serving queries" : "idle");
       for (size_t s = 0; s < eng->num_shards(); ++s) {
         std::printf("  shard %zu: %zu users, height %zu\n", s,
@@ -604,7 +601,6 @@ struct Shell {
     engine::EngineOptions opts;
     opts.num_shards = engine_shards;
     opts.num_threads = engine_threads;
-    opts.router = engine::RouterPolicy::kHashUser;
     opts.buffer_pages = world->params().buffer_pages;
     opts.tree = PebOptionsFor(world->params());
     opts.telemetry.registry = &registry;
