@@ -89,13 +89,6 @@ class BTree {
   /// Inserts a key/value pair. Fails with AlreadyExists on a duplicate key.
   Status Insert(const Key& key, const Value& value);
 
-  /// Bottom-up bulk load from strictly increasing (key, value) pairs into
-  /// an empty tree: packs leaves left to right, links siblings, and builds
-  /// each internal level in one pass. Far faster than repeated Insert for
-  /// initial index construction; the resulting tree satisfies the same
-  /// invariants (entries are spread so no node underflows).
-  Status BulkLoad(const std::vector<std::pair<Key, Value>>& entries);
-
   /// Removes `key`. Fails with NotFound when absent.
   Status Delete(const Key& key);
 
@@ -124,57 +117,11 @@ class BTree {
     return s;
   }
 
-  /// A forward cursor over leaf entries. Holds a pin on the current leaf.
-  /// The tree must not be mutated while an iterator is live.
-  class Iterator {
-   public:
-    Iterator() = default;
-
-    bool Valid() const { return guard_.valid() && slot_ < count_; }
-
-    Key key() const {
-      assert(Valid());
-      return Traits::DecodeKey(LeafSlotPtr(*guard_.page(), slot_));
-    }
-    Value value() const {
-      assert(Valid());
-      return Traits::DecodeValue(LeafSlotPtr(*guard_.page(), slot_) +
-                                 Traits::kKeySize);
-    }
-
-    /// Advances to the next entry, following the leaf chain. Sets
-    /// `crossed_leaf` (observable via leaves_visited()) when a new leaf is
-    /// pinned. Returns non-OK only on I/O failure.
-    Status Next() {
-      assert(Valid());
-      if (++slot_ < count_) return Status::OK();
-      PageId next = LeafNext(*guard_.page());
-      guard_.Release();
-      if (next == kInvalidPageId) return Status::OK();  // Now invalid.
-      PEB_ASSIGN_OR_RETURN(guard_, pool_->FetchPage(next));
-      leaves_visited_++;
-      slot_ = 0;
-      count_ = NodeCount(*guard_.page());
-      return Status::OK();
-    }
-
-    /// Number of distinct leaves pinned by this iterator so far.
-    size_t leaves_visited() const { return leaves_visited_; }
-
-   private:
-    friend class BTree;
-    BufferPool* pool_ = nullptr;
-    PageGuard guard_;
-    uint16_t slot_ = 0;
-    uint16_t count_ = 0;
-    size_t leaves_visited_ = 0;
-  };
-
-  /// A reusable positioned cursor over leaf entries — the fast path for
-  /// multi-interval range scans. Unlike Iterator (one root descent per
-  /// seek), a LeafCursor keeps its current leaf pinned between seeks: when
-  /// the next target key is forward-reachable it walks the sibling chain
-  /// (at most kMaxChainHops page fetches) instead of re-descending. The
+  /// A reusable positioned cursor over leaf entries — the tree's one leaf
+  /// walker, for full walks and multi-interval range scans alike. It keeps
+  /// its current leaf pinned between seeks: when the next target key is
+  /// forward-reachable it walks the sibling chain (at most kMaxChainHops
+  /// page fetches) instead of re-descending from the root. The
   /// moving-object query algorithms probe Z intervals in ascending key
   /// order, so nearly every probe after the first resolves in the current
   /// or an adjacent leaf.
@@ -247,13 +194,6 @@ class BTree {
 
   /// An unpositioned cursor bound to this tree.
   LeafCursor NewCursor() const { return LeafCursor(this); }
-
-  /// Positions an iterator at the first entry with key >= `key`. The
-  /// iterator is invalid when no such entry exists.
-  Result<Iterator> SeekGE(const Key& key) const;
-
-  /// Positions an iterator at the smallest entry.
-  Result<Iterator> SeekFirst() const;
 
   /// Checks every structural invariant (key order, separator correctness,
   /// occupancy bounds, sibling chain, entry count). Used by property tests.
@@ -401,59 +341,6 @@ Result<typename Traits::Value> BTree<Traits>::Lookup(const Key& key) const {
 }
 
 template <typename Traits>
-Result<typename BTree<Traits>::Iterator> BTree<Traits>::SeekGE(
-    const Key& key) const {
-  Iterator it;
-  it.pool_ = pool_;
-  if (root_ == kInvalidPageId) return it;
-  PageId pid = root_;
-  for (;;) {
-    PEB_ASSIGN_OR_RETURN(PageGuard g, pool_->FetchPage(pid));
-    const Page& p = *g.page();
-    if (IsLeaf(p)) {
-      size_t slot = LeafLowerBound(p, key);
-      it.guard_ = std::move(g);
-      it.leaves_visited_ = 1;
-      it.slot_ = static_cast<uint16_t>(slot);
-      it.count_ = NodeCount(*it.guard_.page());
-      if (slot >= it.count_) {
-        // The key is past this leaf's last entry: move to the next leaf.
-        PageId next = LeafNext(*it.guard_.page());
-        it.guard_.Release();
-        if (next != kInvalidPageId) {
-          PEB_ASSIGN_OR_RETURN(it.guard_, pool_->FetchPage(next));
-          it.leaves_visited_++;
-          it.slot_ = 0;
-          it.count_ = NodeCount(*it.guard_.page());
-        }
-      }
-      return it;
-    }
-    pid = ChildAt(p, InternalChildIndex(p, key));
-  }
-}
-
-template <typename Traits>
-Result<typename BTree<Traits>::Iterator> BTree<Traits>::SeekFirst() const {
-  Iterator it;
-  it.pool_ = pool_;
-  if (root_ == kInvalidPageId) return it;
-  PageId pid = root_;
-  for (;;) {
-    PEB_ASSIGN_OR_RETURN(PageGuard g, pool_->FetchPage(pid));
-    const Page& p = *g.page();
-    if (IsLeaf(p)) {
-      it.guard_ = std::move(g);
-      it.leaves_visited_ = 1;
-      it.slot_ = 0;
-      it.count_ = NodeCount(*it.guard_.page());
-      return it;
-    }
-    pid = ChildAt(p, 0);
-  }
-}
-
-template <typename Traits>
 Status BTree<Traits>::LeafCursor::SeekGE(const Key& key) {
   const BTree& tree = *tree_;
   // Fast path: the cursor sits on a leaf and the target is not behind it —
@@ -486,7 +373,7 @@ Status BTree<Traits>::LeafCursor::SeekGE(const Key& key) {
     guard_.Release();
   }
 
-  // Slow path: root descent (same walk as BTree::SeekGE).
+  // Slow path: root descent.
   descents_++;
   slot_ = count_ = 0;
   if (tree.root_ == kInvalidPageId) return Status::OK();
@@ -513,97 +400,6 @@ Status BTree<Traits>::LeafCursor::SeekGE(const Key& key) {
     }
     pid = ChildAt(p, InternalChildIndex(p, key));
   }
-}
-
-// ---------------------------------------------------------------------------
-// Bulk load
-// ---------------------------------------------------------------------------
-
-template <typename Traits>
-Status BTree<Traits>::BulkLoad(
-    const std::vector<std::pair<Key, Value>>& entries) {
-  if (root_ != kInvalidPageId) {
-    return Status::InvalidArgument("BulkLoad requires an empty tree");
-  }
-  for (size_t i = 1; i < entries.size(); ++i) {
-    if (Traits::Compare(entries[i - 1].first, entries[i].first) >= 0) {
-      return Status::InvalidArgument(
-          "BulkLoad input must be strictly increasing");
-    }
-  }
-  if (entries.empty()) return Status::OK();
-
-  // Split `total` items into chunks of at most `cap`, as evenly as
-  // possible, so every chunk is at least half full (non-root invariant).
-  auto chunk_sizes = [](size_t total, size_t cap) {
-    size_t chunks = (total + cap - 1) / cap;
-    size_t base = total / chunks;
-    size_t extra = total % chunks;  // First `extra` chunks get one more.
-    std::vector<size_t> out(chunks, base);
-    for (size_t i = 0; i < extra; ++i) out[i]++;
-    return out;
-  };
-
-  // --- leaf level ----------------------------------------------------------
-  struct ChildRef {
-    Key first_key;
-    PageId pid;
-  };
-  std::vector<ChildRef> level;
-  {
-    auto sizes = chunk_sizes(entries.size(), kLeafCapacity);
-    size_t pos = 0;
-    PageId prev = kInvalidPageId;
-    for (size_t chunk = 0; chunk < sizes.size(); ++chunk) {
-      PEB_ASSIGN_OR_RETURN(PageGuard g, pool_->NewPage());
-      Page& p = *g.page();
-      SetNodeType(p, 1);
-      SetLeafPrev(p, prev);
-      SetLeafNext(p, kInvalidPageId);
-      for (size_t i = 0; i < sizes[chunk]; ++i, ++pos) {
-        SetLeafSlot(p, i, entries[pos].first, entries[pos].second);
-      }
-      SetNodeCount(p, static_cast<uint16_t>(sizes[chunk]));
-      g.MarkDirty();
-      if (prev != kInvalidPageId) {
-        PEB_ASSIGN_OR_RETURN(PageGuard pg, pool_->FetchPage(prev));
-        SetLeafNext(*pg.page(), g.id());
-        pg.MarkDirty();
-      }
-      level.push_back({entries[pos - sizes[chunk]].first, g.id()});
-      prev = g.id();
-      stats_.num_leaves++;
-    }
-  }
-  stats_.num_entries = entries.size();
-  stats_.height = 1;
-
-  // --- internal levels -------------------------------------------------------
-  while (level.size() > 1) {
-    std::vector<ChildRef> next;
-    auto sizes = chunk_sizes(level.size(), kInternalCapacity + 1);
-    size_t pos = 0;
-    for (size_t chunk = 0; chunk < sizes.size(); ++chunk) {
-      PEB_ASSIGN_OR_RETURN(PageGuard g, pool_->NewPage());
-      Page& p = *g.page();
-      SetNodeType(p, 2);
-      SetInternalChild0(p, level[pos].pid);
-      Key node_first = level[pos].first_key;
-      for (size_t i = 1; i < sizes[chunk]; ++i) {
-        SetInternalSlot(p, i - 1, level[pos + i].first_key,
-                        level[pos + i].pid);
-      }
-      SetNodeCount(p, static_cast<uint16_t>(sizes[chunk] - 1));
-      g.MarkDirty();
-      next.push_back({node_first, g.id()});
-      pos += sizes[chunk];
-      stats_.num_internals++;
-    }
-    level = std::move(next);
-    stats_.height++;
-  }
-  root_ = level[0].pid;
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -22,6 +23,36 @@ constexpr size_t kPoolLatchShards = 4;
 /// before an ingest call appends to it.
 size_t HardCap(const EngineOptions::DeltaIngestOptions& delta) {
   return delta.hard_cap != 0 ? delta.hard_cap : delta.merge_threshold * 8;
+}
+
+/// Observes its own lifetime, in milliseconds, into a histogram (null when
+/// telemetry is off). Declared right after an exclusive lock, or at the top
+/// of a function that runs under one, it times that stretch of the section.
+class SectionTimer {
+ public:
+  explicit SectionTimer(telemetry::Histogram* h)
+      : h_(h), start_(std::chrono::steady_clock::now()) {}
+  ~SectionTimer() {
+    telemetry::Observe(h_, std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - start_)
+                               .count());
+  }
+  SectionTimer(const SectionTimer&) = delete;
+  SectionTimer& operator=(const SectionTimer&) = delete;
+
+ private:
+  telemetry::Histogram* h_;
+  std::chrono::steady_clock::time_point start_;
+};
+
+/// The shards whose per-shard list is non-empty: the ones a fan-out visits.
+template <typename T>
+std::vector<size_t> NonEmptyShards(const std::vector<std::vector<T>>& lists) {
+  std::vector<size_t> which;
+  for (size_t s = 0; s < lists.size(); ++s) {
+    if (!lists[s].empty()) which.push_back(s);
+  }
+  return which;
 }
 
 /// Merges one shard's fresh candidates — already ascending by distance —
@@ -103,13 +134,11 @@ ShardedPebEngine::ShardedPebEngine(
     }
   }
   const size_t n = options.num_shards == 0 ? 1 : options.num_shards;
-  shards_.reserve(n);
+  trees_.reserve(n);
   deltas_.reserve(n);
   for (size_t s = 0; s < n; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->tree = std::make_unique<PebTree>(&pool_, options_.tree, store,
-                                            roles, snapshot_);
-    shards_.push_back(std::move(shard));
+    trees_.push_back(std::make_unique<PebTree>(&pool_, options_.tree, store,
+                                               roles, snapshot_));
     deltas_.push_back(std::make_unique<ShardDelta>());
   }
   // Instruments resolve eagerly here (not lazily on first use), so a
@@ -170,6 +199,19 @@ ShardedPebEngine::~ShardedPebEngine() {
   if (registry_ != nullptr && pool_collector_token_ != 0) {
     registry_->UnregisterCollector(pool_collector_token_);
   }
+}
+
+Status ShardedPebEngine::FanOut(const std::vector<size_t>& which,
+                                const std::function<Status(size_t)>& task) {
+  std::vector<Status> statuses(which.size());
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(which.size());
+  for (size_t i = 0; i < which.size(); ++i) {
+    tasks.push_back([&, i] { statuses[i] = task(which[i]); });
+  }
+  threads_.RunAll(std::move(tasks));
+  for (Status& st : statuses) PEB_RETURN_NOT_OK(st);
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -244,9 +286,8 @@ Status ShardedPebEngine::CheckpointFrozen(bool clean) {
   // 3. Snapshot the manifest (tree roots + stats + epoch).
   engine_wal::EngineManifest manifest;
   manifest.epoch = snapshot_ == nullptr ? 0 : snapshot_->epoch();
-  for (auto& shard : shards_) {
-    MutexLock lock(&shard->mu);
-    manifest.shards.push_back(shard->tree->Manifest());
+  for (size_t s = 0; s < num_shards(); ++s) {
+    manifest.shards.push_back(tree(s).Manifest());
   }
   const std::string manifest_blob = engine_wal::EncodeManifest(manifest);
 
@@ -258,6 +299,7 @@ Status ShardedPebEngine::CheckpointFrozen(bool clean) {
   //    records instead of reading torn pages.
   Status st;
   durable_->ForEachDirtyPage([&](PageId id, const Page& page) {
+    wal_mu_.AssertHeld();  // Called back synchronously, under wal_lock.
     if (!st.ok()) return;
     WalRecord rec;
     rec.seq = ++wal_seq_;
@@ -384,12 +426,12 @@ Result<std::unique_ptr<ShardedPebEngine>> ShardedPebEngine::Open(
   engine->close_checkpoint_armed_ = false;
   PEB_RETURN_NOT_OK(engine->durability_status());
   if (!manifest.shards.empty()) {
-    if (manifest.shards.size() != engine->shards_.size()) {
+    if (manifest.shards.size() != engine->num_shards()) {
       return Status::InvalidArgument(
           "database was checkpointed with " +
           std::to_string(manifest.shards.size()) +
           " shards but the engine is configured for " +
-          std::to_string(engine->shards_.size()));
+          std::to_string(engine->num_shards()));
     }
     if (manifest.epoch != snapshot->epoch()) {
       return Status::InvalidArgument(
@@ -402,14 +444,13 @@ Result<std::unique_ptr<ShardedPebEngine>> ShardedPebEngine::Open(
     WriterMutexLock state_lock(&engine->state_mu_);
     MutexLock ingest(&engine->ingest_mu_);
     std::vector<uint8_t>& present = engine->present_;
-    for (size_t s = 0; s < engine->shards_.size(); ++s) {
+    for (size_t s = 0; s < engine->num_shards(); ++s) {
       const PebTreeManifest& m = manifest.shards[s];
       if (m.root == kInvalidPageId) continue;  // Checkpointed empty.
-      Shard& shard = *engine->shards_[s];
-      MutexLock lock(&shard.mu);
-      PEB_RETURN_NOT_OK(shard.tree->AttachExisting(m));
+      PebTree& shard = engine->mutable_tree(s);
+      PEB_RETURN_NOT_OK(shard.AttachExisting(m));
       Status members;
-      shard.tree->ForEachObject([&](UserId uid, const MovingObject&) {
+      shard.ForEachObject([&](UserId uid, const MovingObject&) {
         if (uid >= present.size()) {
           members = Status::Corruption("shard " + std::to_string(s) +
                                        " hosts user " + std::to_string(uid) +
@@ -419,7 +460,7 @@ Result<std::unique_ptr<ShardedPebEngine>> ShardedPebEngine::Open(
         }
       });
       PEB_RETURN_NOT_OK(members);
-      engine->tree_users_ += static_cast<int64_t>(shard.tree->size());
+      engine->tree_users_ += static_cast<int64_t>(shard.size());
     }
   }
 
@@ -518,7 +559,7 @@ Status ShardedPebEngine::IngestOne(const MovingObject& state, bool tombstone,
     }
     return Status::InvalidArgument("object id outside the policy encoding");
   }
-  const size_t idx = ShardOf(state.id, shards_.size());
+  const size_t idx = ShardOf(state.id, num_shards());
   telemetry::Inc(shard_instruments_[idx].updates);
   // Backpressure: the writer (never a query) absorbs the merge cost when
   // this shard's delta is at the hard cap.
@@ -586,6 +627,9 @@ Status ShardedPebEngine::LoadDataset(const Dataset& dataset) {
     }
   }
   WriterMutexLock state_lock(&state_mu_);
+  // The whole exclusive section, checkpoint included, is what queries wait
+  // out; declared after the lock, the timer ends before it is released.
+  SectionTimer hold(batch_lock_hold_ms_);
   Status st;
   {
     // Writers are frozen too (state_mu_ -> ingest_mu_, the checkpoint's
@@ -608,40 +652,28 @@ Status ShardedPebEngine::LoadDataset(const Dataset& dataset) {
       if (deltas_[s]->records() > 0) buffered.push_back(s);
     }
     PEB_RETURN_NOT_OK(MergeShardsLocked(buffered));
-    std::vector<std::vector<const MovingObject*>> groups(shards_.size());
+    std::vector<std::vector<const MovingObject*>> groups(num_shards());
     for (const MovingObject& o : dataset.objects) {
-      groups[ShardOf(o.id, shards_.size())].push_back(&o);
+      groups[ShardOf(o.id, num_shards())].push_back(&o);
+    }
+    for (size_t s = 0; s < num_shards(); ++s) {
+      telemetry::Inc(shard_instruments_[s].updates, groups[s].size());
     }
     // One worker task per shard inserts its group in order, stopping at the
-    // first error; batch_lock_hold_ms_ observes how long each task held its
-    // shard mutex (the interval queries on that shard were blocked for).
-    std::vector<Status> statuses(shards_.size());
-    std::vector<size_t> inserted(shards_.size(), 0);
-    std::vector<std::function<void()>> tasks;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      telemetry::Inc(shard_instruments_[s].updates, groups[s].size());
-      if (groups[s].empty()) continue;
-      tasks.push_back([&, s] {
-        Shard& shard = *shards_[s];
-        MutexLock lock(&shard.mu);
-        const auto locked_at = std::chrono::steady_clock::now();
-        for (const MovingObject* o : groups[s]) {
-          statuses[s] = shard.tree->Insert(*o);
-          if (!statuses[s].ok()) break;
-          ++inserted[s];
-        }
-        telemetry::Observe(batch_lock_hold_ms_,
-                           std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - locked_at)
-                               .count());
-      });
-    }
-    threads_.RunAll(std::move(tasks));
+    // first error.
+    std::vector<size_t> inserted(num_shards(), 0);
+    st = FanOut(NonEmptyShards(groups), [&](size_t s) {
+      state_mu_.AssertHeld();
+      for (const MovingObject* o : groups[s]) {
+        PEB_RETURN_NOT_OK(mutable_tree(s).Insert(*o));
+        ++inserted[s];
+      }
+      return Status::OK();
+    });
     // Bookkeeping follows what the trees actually took, even on a failure.
-    for (size_t s = 0; s < shards_.size(); ++s) {
+    for (size_t s = 0; s < num_shards(); ++s) {
       for (size_t i = 0; i < inserted[s]; ++i) present_[groups[s][i]->id] = 1;
       tree_users_ += static_cast<int64_t>(inserted[s]);
-      if (st.ok() && !statuses[s].ok()) st = std::move(statuses[s]);
     }
   }
   if (st.ok() && options_.tree.index.paranoid_checks) st = ValidateLocked();
@@ -681,7 +713,7 @@ Status ShardedPebEngine::ApplyBatch(const std::vector<UpdateEvent>& events) {
     // atomically, so a query's pinned watermark sees all of it or none.
     const uint64_t seq = ++next_seq_;
     for (const UpdateEvent& ev : events) {
-      const size_t idx = ShardOf(ev.state.id, shards_.size());
+      const size_t idx = ShardOf(ev.state.id, num_shards());
       telemetry::Inc(shard_instruments_[idx].updates);
       // An upsert of an absent user is a join; of a present one, a move.
       uint8_t& present = present_[ev.state.id];
@@ -724,71 +756,59 @@ Status ShardedPebEngine::MergeShardsLocked(const std::vector<size_t>& which) {
   // publication makes it visible through the delta.
   const uint64_t bound = published_seq_.load(std::memory_order_acquire);
   const bool paranoid = options_.tree.index.paranoid_checks;
-  std::vector<Status> statuses(shards_.size());
-  std::vector<int64_t> effects(shards_.size(), 0);
+  // Every caller holds state_mu_ exclusive from before this call to after
+  // it returns, so this times the merge's stretch of that section.
+  SectionTimer hold(merge_lock_hold_ms_);
+  std::vector<int64_t> effects(num_shards(), 0);
   std::atomic<uint64_t> merged_total{0};
-  std::vector<std::function<void()>> tasks;
-  for (size_t s : which) {
-    tasks.push_back([this, s, bound, paranoid, &statuses, &effects,
-                     &merged_total] {
-      Shard& shard = *shards_[s];
-      MutexLock lock(&shard.mu);
-      const auto locked_at = std::chrono::steady_clock::now();
-      // No writer can append at or below the bound (their seqs exceed every
-      // published one), so these are exactly the effects drained next.
-      effects[s] = deltas_[s]->EffectUpTo(bound);
-      const auto drained = deltas_[s]->DrainUpTo(bound);
-      Status st;
-      for (const auto& [uid, rec] : drained) {
-        if (rec.tombstone) {
-          // Delete-if-present: the tombstoned user may only ever have
-          // existed inside this delta (insert and delete both buffered).
-          if (shard.tree->GetObject(uid).ok()) st = shard.tree->Delete(uid);
-        } else {
-          st = shard.tree->Update(rec.state);  // Upsert.
-        }
-        if (!st.ok()) break;
+  Status st = FanOut(which, [&](size_t s) {
+    state_mu_.AssertHeld();
+    PebTree& shard = mutable_tree(s);
+    // No writer can append at or below the bound (their seqs exceed every
+    // published one), so these are exactly the effects drained next.
+    effects[s] = deltas_[s]->EffectUpTo(bound);
+    const auto drained = deltas_[s]->DrainUpTo(bound);
+    merged_total.fetch_add(drained.size(), std::memory_order_relaxed);
+    for (const auto& [uid, rec] : drained) {
+      if (rec.tombstone) {
+        // Delete-if-present: the tombstoned user may only ever have
+        // existed inside this delta (insert and delete both buffered).
+        if (shard.GetObject(uid).ok()) PEB_RETURN_NOT_OK(shard.Delete(uid));
+      } else {
+        PEB_RETURN_NOT_OK(shard.Update(rec.state));  // Upsert.
       }
-      if (st.ok() && paranoid) {
-        // Delta/tree agreement: a drained user with no newer buffered
-        // record must now read back from the tree exactly as the delta
-        // said — tombstoned users gone, updated users at their new state.
-        ShardDelta::Record newer;
-        for (const auto& [uid, rec] : drained) {
-          if (deltas_[s]->LatestVisible(uid, ~uint64_t{0}, &newer)) continue;
-          auto got = shard.tree->GetObject(uid);
-          bool agree;
-          if (rec.tombstone) {
-            agree = !got.ok();
-          } else {
-            agree = got.ok() && (*got).pos.x == rec.state.pos.x &&
-                    (*got).pos.y == rec.state.pos.y &&
-                    (*got).vel.x == rec.state.vel.x &&
-                    (*got).vel.y == rec.state.vel.y &&
-                    (*got).tu == rec.state.tu;
-          }
-          if (!agree) {
-            st = Status::Corruption(
-                "delta merge left shard " + std::to_string(s) +
-                " disagreeing with its tree about object " +
-                std::to_string(uid));
-            break;
-          }
-        }
+    }
+    if (!paranoid) return Status::OK();
+    // Delta/tree agreement: a drained user with no newer buffered record
+    // must now read back from the tree exactly as the delta said —
+    // tombstoned users gone, updated users at their new state.
+    ShardDelta::Record newer;
+    for (const auto& [uid, rec] : drained) {
+      if (deltas_[s]->LatestVisible(uid, ~uint64_t{0}, &newer)) continue;
+      auto got = shard.GetObject(uid);
+      bool agree;
+      if (rec.tombstone) {
+        agree = !got.ok();
+      } else {
+        agree = got.ok() && (*got).pos.x == rec.state.pos.x &&
+                (*got).pos.y == rec.state.pos.y &&
+                (*got).vel.x == rec.state.vel.x &&
+                (*got).vel.y == rec.state.vel.y &&
+                (*got).tu == rec.state.tu;
       }
-      statuses[s] = std::move(st);
-      merged_total.fetch_add(drained.size(), std::memory_order_relaxed);
-      telemetry::Observe(merge_lock_hold_ms_,
-                         std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - locked_at)
-                             .count());
-    });
-  }
-  threads_.RunAll(std::move(tasks));
+      if (!agree) {
+        return Status::Corruption("delta merge left shard " +
+                                  std::to_string(s) +
+                                  " disagreeing with its tree about object " +
+                                  std::to_string(uid));
+      }
+    }
+    return Status::OK();
+  });
   // The drained effects now live in the trees — even if an apply failed,
   // they have left the deltas.
   for (size_t s : which) tree_users_ += effects[s];
-  for (Status& st : statuses) PEB_RETURN_NOT_OK(st);
+  PEB_RETURN_NOT_OK(st);
   delta_merges_count_.fetch_add(which.size(), std::memory_order_relaxed);
   delta_merged_records_.fetch_add(merged_total.load(std::memory_order_relaxed),
                                   std::memory_order_relaxed);
@@ -858,28 +878,21 @@ Status ShardedPebEngine::AdoptSnapshot(
   WriterMutexLock state_lock(&state_mu_);
   snapshot_ = snapshot;
 
-  std::vector<std::vector<UserId>> groups(shards_.size());
+  std::vector<std::vector<UserId>> groups(num_shards());
   if (rekey != nullptr) {
     for (UserId uid : *rekey) {
       // Ids outside the encoding are not indexed anywhere: skip them, as
       // the ingest path rejects them.
-      if (uid < num_users_) groups[ShardOf(uid, shards_.size())].push_back(uid);
+      if (uid < num_users_) groups[ShardOf(uid, num_shards())].push_back(uid);
     }
   }
-  std::vector<Status> statuses(shards_.size());
-  std::vector<std::function<void()>> tasks;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    tasks.push_back([&, s] {
-      Shard& shard = *shards_[s];
-      MutexLock lock(&shard.mu);
-      statuses[s] = shard.tree->AdoptSnapshot(
-          snapshot, rekey == nullptr ? nullptr : &groups[s]);
-    });
-  }
-  threads_.RunAll(std::move(tasks));
-  for (Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
+  std::vector<size_t> every_shard(num_shards());
+  std::iota(every_shard.begin(), every_shard.end(), size_t{0});
+  PEB_RETURN_NOT_OK(FanOut(every_shard, [&](size_t s) {
+    state_mu_.AssertHeld();
+    return mutable_tree(s).AdoptSnapshot(
+        snapshot, rekey == nullptr ? nullptr : &groups[s]);
+  }));
   if (options_.tree.index.paranoid_checks) {
     PEB_RETURN_NOT_OK(ValidateLocked());
   }
@@ -986,9 +999,9 @@ std::vector<std::vector<FriendEntry>> ShardedPebEngine::PartitionFriends(
     UserId issuer) const {
   // Callers hold state_mu_ (shared suffices): snapshot_ is pinned for the
   // whole fanned-out query.
-  std::vector<std::vector<FriendEntry>> per_shard(shards_.size());
+  std::vector<std::vector<FriendEntry>> per_shard(num_shards());
   for (const FriendEntry& f : snapshot_->FriendsOf(issuer)) {
-    per_shard[ShardOf(f.uid, shards_.size())].push_back(f);
+    per_shard[ShardOf(f.uid, num_shards())].push_back(f);
   }
   return per_shard;
 }
@@ -1026,7 +1039,6 @@ Result<std::vector<UserId>> ShardedPebEngine::RangeQueryWithStats(
   SharedScanCache cache;  // One window decomposition for all shards.
 
   struct Slot {
-    Status status;
     std::vector<UserId> ids;
     QueryCounters counters;
     IoStats io;
@@ -1034,44 +1046,32 @@ Result<std::vector<UserId>> ShardedPebEngine::RangeQueryWithStats(
   telemetry::TraceBuilder* trace = collect ? stats->trace : nullptr;
   const size_t trace_parent =
       collect ? stats->trace_span : telemetry::TraceSpan::kNoParent;
-  std::vector<Slot> slots(shards_.size());
-  std::vector<std::function<void()>> tasks;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (per_shard[s].empty()) continue;
-    tasks.push_back([this, s, issuer, collect, trace, trace_parent, &range,
-                     tq, &per_shard, &slots, &cache] {
-      // Attribute this task's pool traffic to its own slot: exact
-      // per-query I/O even while other queries run on the same pool.
-      BufferPool::ThreadIoScope io_scope(collect ? &slots[s].io : nullptr);
-      telemetry::Inc(shard_instruments_[s].queries);
-      size_t span = telemetry::TraceSpan::kNoParent;
-      if (trace != nullptr) {
-        span = trace->StartSpan("shard " + std::to_string(s), trace_parent);
-        trace->Annotate(span, "friends=" +
-                                  std::to_string(per_shard[s].size()));
-      }
-      Shard& shard = *shards_[s];
-      MutexLock lock(&shard.mu);
-      // Counters land in this task's own slot (scan-local), so concurrent
-      // queries touching the same shard tree never share observer state.
-      auto r = shard.tree->RangeQueryAmong(issuer, range, tq, per_shard[s],
-                                           &cache, &slots[s].counters);
-      if (r.ok()) {
-        slots[s].ids = std::move(*r);
-      } else {
-        slots[s].status = r.status();
-      }
-      if (trace != nullptr) {
-        trace->AddStats(span, slots[s].counters, slots[s].io);
-        trace->EndSpan(span);
-      }
-    });
-  }
-  threads_.RunAll(std::move(tasks));
+  std::vector<Slot> slots(num_shards());
+  PEB_RETURN_NOT_OK(FanOut(NonEmptyShards(per_shard), [&](size_t s) {
+    state_mu_.AssertReaderHeld();
+    // Attribute this task's pool traffic to its own slot: exact per-query
+    // I/O even while other queries run on the same pool.
+    BufferPool::ThreadIoScope io_scope(collect ? &slots[s].io : nullptr);
+    telemetry::Inc(shard_instruments_[s].queries);
+    size_t span = telemetry::TraceSpan::kNoParent;
+    if (trace != nullptr) {
+      span = trace->StartSpan("shard " + std::to_string(s), trace_parent);
+      trace->Annotate(span, "friends=" + std::to_string(per_shard[s].size()));
+    }
+    // Counters land in this task's own slot (scan-local), so concurrent
+    // queries scanning the same shard tree never share observer state.
+    auto r = tree(s).RangeQueryAmong(issuer, range, tq, per_shard[s], &cache,
+                                     &slots[s].counters);
+    if (r.ok()) slots[s].ids = std::move(*r);
+    if (trace != nullptr) {
+      trace->AddStats(span, slots[s].counters, slots[s].io);
+      trace->EndSpan(span);
+    }
+    return r.status();
+  }));
 
   std::vector<UserId> merged;
   for (Slot& slot : slots) {
-    PEB_RETURN_NOT_OK(slot.status);
     if (collect) {
       MergeCounters(slot.counters, &stats->counters);
       stats->io += slot.io;
@@ -1144,19 +1144,15 @@ Result<std::vector<Neighbor>> ShardedPebEngine::KnnQueryWithStats(
 
   struct Slot {
     std::optional<PebTree::KnnScan> scan;
-    Status status;
-    std::vector<Neighbor> fresh;
     IoStats io;
   };
-  std::vector<Slot> slots(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (per_shard[s].empty()) continue;
+  const std::vector<size_t> which = NonEmptyShards(per_shard);
+  std::vector<Slot> slots(num_shards());
+  for (size_t s : which) {
     BufferPool::ThreadIoScope io_scope(collect ? &slots[s].io : nullptr);
     telemetry::Inc(shard_instruments_[s].queries);
-    Shard& shard = *shards_[s];
-    MutexLock lock(&shard.mu);
     slots[s].scan.emplace(
-        shard.tree->NewKnnScan(issuer, qloc, tq, rq, per_shard[s], &cache));
+        tree(s).NewKnnScan(issuer, qloc, tq, rq, per_shard[s], &cache));
   }
 
   // Streaming merge: ONE task per shard drives that shard's whole scan,
@@ -1175,120 +1171,99 @@ Result<std::vector<Neighbor>> ShardedPebEngine::KnnQueryWithStats(
   const size_t trace_parent =
       collect ? stats->trace_span : telemetry::TraceSpan::kNoParent;
   Mutex merge_mu;
-  std::vector<std::function<void()>> tasks;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (!slots[s].scan.has_value()) continue;
-    tasks.push_back([this, s, k, collect, trace, trace_parent, &slots,
-                     &verified, &merge_mu] {
-      Slot& sl = slots[s];
-      BufferPool::ThreadIoScope io_scope(collect ? &sl.io : nullptr);
-      size_t shard_span = telemetry::TraceSpan::kNoParent;
+  PEB_RETURN_NOT_OK(FanOut(which, [&](size_t s) {
+    Slot& sl = slots[s];
+    BufferPool::ThreadIoScope io_scope(collect ? &sl.io : nullptr);
+    size_t shard_span = telemetry::TraceSpan::kNoParent;
+    if (trace != nullptr) {
+      shard_span = trace->StartSpan("shard " + std::to_string(s), trace_parent);
+      trace->Annotate(shard_span,
+                      "runs=" + std::to_string(sl.scan->num_rows()));
+    }
+    const size_t nd = sl.scan->max_diagonals();
+    // Per-round work a child span should be charged with: an inner
+    // ThreadIoScope is innermost-wins, so it SUPPRESSES the slot scope for
+    // its extent and the delta must be added back to sl.io by hand.
+    auto scan_round = [&](const std::string& name, size_t d, auto&& run) {
+      size_t round_span = telemetry::TraceSpan::kNoParent;
+      IoStats round_io;
+      QueryCounters before;
+      std::optional<BufferPool::ThreadIoScope> round_scope;
       if (trace != nullptr) {
-        shard_span =
-            trace->StartSpan("shard " + std::to_string(s), trace_parent);
+        round_span = trace->StartSpan(name, shard_span);
+        before = sl.scan->counters();
+        round_scope.emplace(&round_io);
+      }
+      Status st = run();
+      if (trace != nullptr) {
+        round_scope.reset();
+        sl.io += round_io;
+        QueryCounters after = sl.scan->counters();
+        QueryCounters delta;
+        delta.candidates_examined =
+            after.candidates_examined - before.candidates_examined;
+        delta.results = after.results - before.results;
+        delta.range_probes = after.range_probes - before.range_probes;
+        delta.rounds = after.rounds - before.rounds;
+        delta.seek_descents = after.seek_descents - before.seek_descents;
+        delta.leaf_hops = after.leaf_hops - before.leaf_hops;
+        trace->AddStats(round_span, delta, round_io);
         trace->Annotate(
-            shard_span, "runs=" + std::to_string(sl.scan->num_rows()));
+            round_span, "radius=" + std::to_string(sl.scan->RadiusForRound(d)));
+        trace->EndSpan(round_span);
       }
-      Shard& shard = *shards_[s];
-      const size_t nd = sl.scan->max_diagonals();
-      // Per-round work a child span should be charged with: an inner
-      // ThreadIoScope is innermost-wins, so it SUPPRESSES the slot scope
-      // for its extent and the delta must be added back to sl.io by hand.
-      auto scan_round = [&](const std::string& name, size_t d,
-                            auto&& run) {
-        size_t round_span = telemetry::TraceSpan::kNoParent;
-        IoStats round_io;
-        QueryCounters before;
-        std::optional<BufferPool::ThreadIoScope> round_scope;
-        if (trace != nullptr) {
-          round_span = trace->StartSpan(name, shard_span);
-          before = sl.scan->counters();
-          round_scope.emplace(&round_io);
-        }
-        {
-          MutexLock lock(&shard.mu);
-          sl.status = run();
-        }
-        if (trace != nullptr) {
-          round_scope.reset();
-          sl.io += round_io;
-          QueryCounters after = sl.scan->counters();
-          QueryCounters delta;
-          delta.candidates_examined =
-              after.candidates_examined - before.candidates_examined;
-          delta.results = after.results - before.results;
-          delta.range_probes = after.range_probes - before.range_probes;
-          delta.rounds = after.rounds - before.rounds;
-          delta.seek_descents =
-              after.seek_descents - before.seek_descents;
-          delta.leaf_hops = after.leaf_hops - before.leaf_hops;
-          trace->AddStats(round_span, delta, round_io);
-          trace->Annotate(round_span,
-                          "radius=" + std::to_string(
-                                          sl.scan->RadiusForRound(d)));
-          trace->EndSpan(round_span);
-        }
-      };
-      auto close_shard_span = [&] {
-        if (trace != nullptr) {
-          trace->AddStats(shard_span, sl.scan->counters(), sl.io);
-          trace->EndSpan(shard_span);
-        }
-      };
-      for (size_t d = 0; d < nd; ++d) {
-        if (sl.scan->AllFound()) break;
-        double dk = 0.0;
-        bool have_k = false;
-        {
-          MutexLock g(&merge_mu);
-          if (verified.size() >= k) {
-            have_k = true;
-            dk = verified[k - 1].distance;
-          }
-        }
-        // shard.mu is taken per scan step, not for the whole task: other
-        // queries touching this shard interleave between rounds.
-        // (Mutations stay excluded for the whole query by state_mu_.)
-        if (have_k) {
-          // The global k-th distance bounds this shard's remaining work:
-          // it retires here, after at most one closing vertical scan.
-          telemetry::Inc(pknn_retirements_);
-          if (d == 0 ||
-              sl.scan->CoveredRadiusAfterDiagonal(d - 1) < dk) {
-            sl.fresh.clear();
-            scan_round("vertical", d, [&] {
-              return sl.scan->VerticalScan(dk, &sl.fresh);
-            });
-            if (!sl.status.ok() || sl.fresh.empty()) break;
-            MutexLock g(&merge_mu);
-            MergeByDistance(sl.fresh, &verified);
-          }
-          // Else retired outright: the covered radius already reaches
-          // the global k-th distance, so even the vertical scan is moot.
-          break;
-        }
-        sl.fresh.clear();
-        telemetry::Inc(pknn_rounds_);
-        scan_round("round " + std::to_string(d), d, [&] {
-          return sl.scan->ScanDiagonal(d, &sl.fresh);
-        });
-        if (!sl.status.ok()) break;
-        if (!sl.fresh.empty()) {
-          MutexLock g(&merge_mu);
-          MergeByDistance(sl.fresh, &verified);
+      return st;
+    };
+    Status st;
+    std::vector<Neighbor> fresh;
+    for (size_t d = 0; d < nd; ++d) {
+      if (sl.scan->AllFound()) break;
+      double dk = 0.0;
+      bool have_k = false;
+      {
+        MutexLock g(&merge_mu);
+        if (verified.size() >= k) {
+          have_k = true;
+          dk = verified[k - 1].distance;
         }
       }
-      // Every diagonal exhausted: the scan covered the whole space for
-      // each run that still has unlocated users, so those users are
-      // simply not hosted here — nothing left to rule out.
-      close_shard_span();
-    });
-  }
-  threads_.RunAll(std::move(tasks));
-  for (Slot& slot : slots) {
-    if (!slot.scan.has_value()) continue;
-    PEB_RETURN_NOT_OK(slot.status);
-  }
+      if (have_k) {
+        // The global k-th distance bounds this shard's remaining work: it
+        // retires here, after at most one closing vertical scan.
+        telemetry::Inc(pknn_retirements_);
+        if (d == 0 || sl.scan->CoveredRadiusAfterDiagonal(d - 1) < dk) {
+          fresh.clear();
+          st = scan_round("vertical", d, [&] {
+            return sl.scan->VerticalScan(dk, &fresh);
+          });
+          if (!st.ok() || fresh.empty()) break;
+          MutexLock g(&merge_mu);
+          MergeByDistance(fresh, &verified);
+        }
+        // Else retired outright: the covered radius already reaches the
+        // global k-th distance, so even the vertical scan is moot.
+        break;
+      }
+      fresh.clear();
+      telemetry::Inc(pknn_rounds_);
+      st = scan_round("round " + std::to_string(d), d, [&] {
+        return sl.scan->ScanDiagonal(d, &fresh);
+      });
+      if (!st.ok()) break;
+      if (!fresh.empty()) {
+        MutexLock g(&merge_mu);
+        MergeByDistance(fresh, &verified);
+      }
+    }
+    // Every diagonal exhausted: the scan covered the whole space for each
+    // run that still has unlocated users, so those users are simply not
+    // hosted here — nothing left to rule out.
+    if (trace != nullptr) {
+      trace->AddStats(shard_span, sl.scan->counters(), sl.io);
+      trace->EndSpan(shard_span);
+    }
+    return st;
+  }));
 
   if (verified.size() > k) verified.resize(k);
   if (collect) {
@@ -1309,9 +1284,7 @@ Result<std::vector<Neighbor>> ShardedPebEngine::KnnQueryWithStats(
 Result<MovingObject> ShardedPebEngine::GetObject(UserId id) const {
   if (id >= num_users_) return Status::NotFound("object " + std::to_string(id));
   ReaderMutexLock state_lock(&state_mu_);
-  const size_t idx = ShardOf(id, shards_.size());
-  const Shard& s = *shards_[idx];
-  MutexLock lock(&s.mu);
+  const size_t idx = ShardOf(id, num_shards());
   const uint64_t watermark = published_seq_.load(std::memory_order_acquire);
   if (deltas_[idx]->records() > 0) {
     ShardDelta::Record rec;
@@ -1324,7 +1297,7 @@ Result<MovingObject> ShardedPebEngine::GetObject(UserId id) const {
       return rec.state;
     }
   }
-  return s.tree->GetObject(id);
+  return tree(idx).GetObject(id);
 }
 
 // ---------------------------------------------------------------------------
@@ -1334,29 +1307,28 @@ Result<MovingObject> ShardedPebEngine::GetObject(UserId id) const {
 Status ShardedPebEngine::ValidateLocked() const {
   const uint64_t epoch = snapshot_ == nullptr ? 0 : snapshot_->epoch();
   int64_t tree_total = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = *shards_[s];
-    MutexLock lock(&shard.mu);
-    tree_total += static_cast<int64_t>(shard.tree->size());
-    if (shard.tree->encoding_epoch() != epoch) {
+  for (size_t s = 0; s < num_shards(); ++s) {
+    const PebTree& shard = tree(s);
+    tree_total += static_cast<int64_t>(shard.size());
+    if (shard.encoding_epoch() != epoch) {
       return Status::Corruption(
           "engine shard " + std::to_string(s) + " serves epoch " +
-          std::to_string(shard.tree->encoding_epoch()) +
+          std::to_string(shard.encoding_epoch()) +
           " while the engine pins epoch " + std::to_string(epoch));
     }
-    PEB_RETURN_NOT_OK(shard.tree->ValidateInvariants());
+    PEB_RETURN_NOT_OK(shard.ValidateInvariants());
     Status routing = Status::OK();
-    shard.tree->ForEachObject([&](UserId uid, const MovingObject&) {
+    shard.ForEachObject([&](UserId uid, const MovingObject&) {
       if (!routing.ok()) return;
       if (uid >= num_users_) {
         routing = Status::Corruption(
             "user " + std::to_string(uid) + " hosted by shard " +
             std::to_string(s) + " outside the policy encoding");
-      } else if (ShardOf(uid, shards_.size()) != s) {
+      } else if (ShardOf(uid, num_shards()) != s) {
         routing = Status::Corruption(
             "user " + std::to_string(uid) + " hosted by shard " +
             std::to_string(s) + " but routed to shard " +
-            std::to_string(ShardOf(uid, shards_.size())));
+            std::to_string(ShardOf(uid, num_shards())));
       }
     });
     PEB_RETURN_NOT_OK(routing);
@@ -1365,7 +1337,6 @@ Status ShardedPebEngine::ValidateLocked() const {
     // FIRST buffered record is a tombstone must still be tree-resident
     // (Delete only ever tombstones a then-present user, and merges drain
     // record prefixes atomically with the tree application).
-    const PebTree* tree = shard.tree.get();
     Status delta_st = Status::OK();
     UserId prev_uid = kInvalidUserId;
     uint64_t prev_seq = 0;
@@ -1377,12 +1348,12 @@ Status ShardedPebEngine::ValidateLocked() const {
         delta_st = Status::Corruption(
             "delta record for user " + std::to_string(uid) +
             " outside the policy encoding");
-      } else if (ShardOf(uid, shards_.size()) != s) {
+      } else if (ShardOf(uid, num_shards()) != s) {
         delta_st = Status::Corruption(
             "delta record for user " + std::to_string(uid) +
             " buffered by shard " + std::to_string(s) +
             " but routed to shard " +
-            std::to_string(ShardOf(uid, shards_.size())));
+            std::to_string(ShardOf(uid, num_shards())));
       } else if (uid == prev_uid && rec.seq < prev_seq) {
         delta_st = Status::Corruption(
             "delta seqs not ascending for user " + std::to_string(uid));
@@ -1391,7 +1362,7 @@ Status ShardedPebEngine::ValidateLocked() const {
             "consecutive tombstones buffered for user " +
             std::to_string(uid));
       } else if (uid != prev_uid && rec.tombstone &&
-                 !tree->GetObject(uid).ok()) {
+                 !shard.GetObject(uid).ok()) {
         delta_st = Status::Corruption(
             "leading tombstone for user " + std::to_string(uid) +
             " who is not hosted by shard " + std::to_string(s) +
@@ -1421,10 +1392,8 @@ Status ShardedPebEngine::ValidateInvariants() const {
   MutexLock ingest(&ingest_mu_);
   std::vector<uint8_t> expected(num_users_, 0);
   int64_t buffered_effect = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = *shards_[s];
-    MutexLock lock(&shard.mu);
-    shard.tree->ForEachObject(
+  for (size_t s = 0; s < num_shards(); ++s) {
+    tree(s).ForEachObject(
         [&](UserId uid, const MovingObject&) { expected[uid] = 1; });
     // Per user in ascending seq: the last write is the latest record.
     deltas_[s]->ForEachRecord([&](UserId uid, const ShardDelta::Record& rec) {

@@ -14,8 +14,11 @@
 // exploit the PEB-tree's query structure (per-friend SV x Z-interval
 // scans): the issuer's friend list is partitioned by home shard and each
 // shard answers only for the friends it hosts, on a fixed ThreadPool, so
-// the total key-range probe count matches the single-tree index while
-// wall-clock drops with parallelism. Per-shard candidate lists are merged
+// wall-clock drops with parallelism. Sharding is not free in work: hashing
+// splits an issuer's friend rows across shards, which breaks up the SV
+// runs a single tree scans as one key range, so the total key-range probe
+// count and page fetches exceed the single tree's (about +45% for 4 shards
+// in BENCH_engine_scaling.json). Per-shard candidate lists are merged
 // into one result (merged by distance for PkNN). For PkNN the engine runs
 // ONE streaming task per shard, with no per-round barrier: each shard
 // publishes its anti-diagonal's candidates into a shared verified list as
@@ -28,20 +31,24 @@
 // single PEB-tree's answer for any shard count (tests/engine_test.cc
 // asserts this for 1, 2, 4, and 7 shards).
 //
-// Thread-safety: a per-shard mutex serializes all access to a shard's tree
-// structure and query counters (the tree is not thread-safe); the shared
-// buffer pool is thread-safe and needs no external serialization, so the
-// storage layer never blocks shard parallelism. Queries use the PebTree
-// const read path (RangeQueryAmong / KnnScan), so concurrent work on
-// distinct shards never races. On top of
-// that, an engine-level reader-writer lock keeps every query's view
-// atomic: queries hold it shared, mutations that touch tree structure
-// (LoadDataset, AdoptSnapshot, delta merges) hold it exclusive — so a
-// query fanned out over several lock acquisitions can never observe half
-// a merge, while concurrent queries still proceed in parallel.
+// Thread-safety: one engine-level reader-writer lock, state_mu_, guards
+// every shard tree. Every tree mutation (LoadDataset, AdoptSnapshot, delta
+// merges, checkpoints' merges, Open()'s attach) holds it exclusive; every
+// tree read (queries, GetObject, validation) holds it at least shared.
+// Readers share a tree freely: they use the PebTree const read path
+// (RangeQueryAmong / KnnScan), which keeps its work counters in the
+// caller's slot or scan and reads pages through the thread-safe buffer
+// pool, so two queries on one shard scan it at the same time. Trees are
+// reached only through tree() / mutable_tree(), whose annotations let
+// clang's thread-safety analysis prove the rule. Worker tasks run on pool
+// threads, where the analysis cannot see the dispatcher's hold across
+// ThreadPool::RunAll, so each task that touches a tree asserts it. A
+// mutation's per-shard tasks each touch a different tree. The same lock
+// keeps every query's view atomic: a query fanned out over several
+// shards can never observe half a merge or half an epoch.
 //
 // Log-structured ingestion: updates (Insert/Update/Delete/ApplyBatch)
-// never take the engine-wide exclusive lock, nor any shard mutex.
+// never take state_mu_ themselves (only through the merges they trigger).
 // Writers serialize on a dedicated ingest mutex, append raw-state records
 // to the home shard's in-memory delta (engine/shard_delta.h) under that
 // shard's delta latch, and publish the batch by storing its seq into an
@@ -63,11 +70,11 @@
 // bounded by the threshold (and shortened further by latest-record dedup:
 // N buffered updates of one user cost one tree update).
 //
-// Lock order: state_mu_ -> ingest_mu_ -> shard.mu -> delta.mu. Writers take
-// only ingest_mu_ -> delta.mu. Merges, queries and validation take
-// state_mu_ -> shard.mu -> delta.mu; a merge holds state_mu_ exclusive
-// across drain AND apply, so no reader sees the window where a record left
-// the delta but has not reached the tree. The ingest path never takes
+// Lock order: state_mu_ -> ingest_mu_ -> delta.mu. Writers take only
+// ingest_mu_ -> delta.mu. Merges, queries and validation take
+// state_mu_ -> delta.mu; a merge holds state_mu_ exclusive across drain
+// AND apply, so no reader sees the window where a record left the delta
+// but has not reached the tree. The ingest path never takes
 // state_mu_ itself (only through the merges it triggers outside its ingest
 // section); queries only ever hold state_mu_ shared. Checkpoints,
 // AdoptSnapshot, LoadDataset, Open()'s tree attach and ValidateInvariants
@@ -77,8 +84,9 @@
 // a concurrent append, no batch can be logged between a re-key's epoch
 // barrier and the checkpoint that follows it, and the presence bytes hold
 // still while trees are loaded or audited.
-// wal_mu_ is a leaf: it guards only the WAL sequence counter and the
-// durability poison status, and no code acquires another lock under it.
+// wal_mu_ is a leaf: it is the WAL's only guard (the log itself is not
+// thread-safe) and guards its sequence counter and the durability poison
+// status; no code acquires another lock under it.
 //
 // Durability (EngineOptions::durability.path non-empty): the engine runs on
 // a FileDiskManager overlay store + write-ahead log instead of the
@@ -176,8 +184,9 @@ struct EngineOptions {
   };
   DurabilityOptions durability;
   /// Engine instruments (per-shard query/update counts, PkNN rounds and
-  /// retirements, batch lock-hold time, delta append/probe/merge counters
-  /// and merge lock-hold, per-pool-shard IoStats samples).
+  /// retirements, LoadDataset's and each merge's time inside the exclusive
+  /// state section, delta append/probe/merge counters, per-pool-shard
+  /// IoStats samples).
   telemetry::TelemetryOptions telemetry;
 };
 
@@ -315,20 +324,20 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
 
   // --- introspection --------------------------------------------------------
   const EngineOptions& options() const { return options_; }
-  size_t num_shards() const { return shards_.size(); }
+  size_t num_shards() const { return deltas_.size(); }
   /// Frames of the shared pool (always exactly options().buffer_pages).
   size_t buffer_frames_total() const;
   ThreadPool& threads() { return threads_; }
   /// Shard i's tree (read-only; for stats and tests). Deliberately
   /// unchecked: single-threaded test/bench introspection only — concurrent
-  /// callers would need shard i's mutex, which cannot outlive this call.
+  /// callers would need state_mu_, which cannot outlive this call.
   const PebTree& shard_tree(size_t i) const NO_THREAD_SAFETY_ANALYSIS {
-    return *shards_[i]->tree;
+    return *trees_[i];
   }
-  /// Number of users currently hosted by shard i.
-  size_t shard_size(size_t i) const {
-    MutexLock lock(&shards_[i]->mu);
-    return shards_[i]->tree->size();
+  /// Number of users currently hosted by shard i's tree.
+  size_t shard_size(size_t i) const EXCLUDES(state_mu_) {
+    ReaderMutexLock state_lock(&state_mu_);
+    return tree(i).size();
   }
 
   /// Deep structural cross-check of the whole engine: every shard tree's
@@ -345,14 +354,21 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   Status ValidateInvariants() const EXCLUDES(state_mu_, ingest_mu_);
 
  private:
-  struct Shard {
-    /// Set once at construction; the pointee is guarded by `mu` below.
-    std::unique_ptr<PebTree> tree PT_GUARDED_BY(mu);
-    /// Serializes all access to the tree's structure and query counters.
-    /// Page access goes through the shared thread-safe pool and needs no
-    /// per-shard serialization.
-    mutable Mutex mu;
-  };
+  /// Shard i's tree for reading: queries, GetObject and validation.
+  const PebTree& tree(size_t i) const REQUIRES_SHARED(state_mu_) {
+    return *trees_[i];
+  }
+  /// Shard i's tree for mutation: only exclusive sections change a tree.
+  PebTree& mutable_tree(size_t i) REQUIRES(state_mu_) { return *trees_[i]; }
+
+  /// Runs `task(s)` for every shard s in `which` on the worker pool and
+  /// returns the first error in the order of `which`. The caller's
+  /// state_mu_ hold covers every task (RunAll returns only after all of
+  /// them finished), but the analysis cannot see it on the pool threads:
+  /// a task that touches a tree asserts the hold first.
+  Status FanOut(const std::vector<size_t>& which,
+                const std::function<Status(size_t)>& task)
+      REQUIRES_SHARED(state_mu_);
 
   /// The disk a constructor run will own, plus its durable view (null for
   /// the in-memory disk). Carried as one value so the delegating
@@ -406,9 +422,10 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
 
   /// Merges the named shards' deltas into their trees under one exclusive
   /// state section: drain (latest record per user, dedup) + apply, with
-  /// per-shard lock-hold observed into merge_lock_hold_ms_. paranoid_checks
-  /// additionally validates delta/tree agreement for every drained user
-  /// and runs the full structural audit before queries resume.
+  /// the merge's time in that section observed into merge_lock_hold_ms_
+  /// (one observation per merge). paranoid_checks additionally validates
+  /// delta/tree agreement for every drained user and runs the full
+  /// structural audit before queries resume.
   Status MergeShards(const std::vector<size_t>& which) EXCLUDES(state_mu_);
 
   /// MergeShards for callers already holding state_mu_ exclusive
@@ -453,7 +470,7 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
 
   /// The number of users present at `watermark`: the tree-resident count
   /// plus every shard delta's visible membership effect. O(shards); no
-  /// shard mutex, no tree lookup.
+  /// tree lookup.
   size_t SizeLocked(uint64_t watermark) const REQUIRES_SHARED(state_mu_);
 
   /// ValidateInvariants()'s structural half, for callers already holding
@@ -482,10 +499,13 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   /// (then durable_ is its non-owning durable view, else null).
   std::unique_ptr<DiskManager> disk_;
   DurableDiskManager* durable_ = nullptr;
-  /// Write-ahead log (durable engines only, else null).
-  std::unique_ptr<WriteAheadLog> wal_;
-  /// Leaf lock: WAL sequencing + poison status only (see lock order).
+  /// Leaf lock: the WAL, its sequencing and the poison status (see lock
+  /// order).
   mutable Mutex wal_mu_;
+  /// Write-ahead log (durable engines only, else null). Set once at
+  /// construction; every later call into it holds wal_mu_ (the
+  /// constructor's Truncate runs before the engine is shared).
+  std::unique_ptr<WriteAheadLog> wal_ PT_GUARDED_BY(wal_mu_);
   /// Seq of the most recently appended WAL record (checkpoint image/commit
   /// records included — one monotonic sequence per log).
   uint64_t wal_seq_ GUARDED_BY(wal_mu_) = 0;
@@ -505,15 +525,16 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   /// is ever shared.
   bool close_checkpoint_armed_ = true;
   BufferPool pool_;
-  std::vector<std::unique_ptr<Shard>> shards_;
   ThreadPool threads_;
-  /// Engine-level snapshot isolation: queries shared, mutations exclusive.
-  /// Always acquired before any shard mutex; worker tasks take only shard
-  /// mutexes (the dispatching thread holds this lock for them).
+  /// Guards the shard trees and engine-level snapshot isolation: queries
+  /// shared, mutations exclusive. Worker tasks take no lock (the
+  /// dispatching thread holds this one for them).
   mutable SharedMutex state_mu_;
+  /// One PEB-tree per shard; reach them through tree() / mutable_tree().
+  std::vector<std::unique_ptr<PebTree>> trees_ GUARDED_BY(state_mu_);
 
   // --- log-structured ingestion state ---------------------------------------
-  /// One delta per shard, indexed like shards_. Each has its own latch.
+  /// One delta per shard, indexed like trees_. Each has its own latch.
   std::vector<std::unique_ptr<ShardDelta>> deltas_;
   /// Serializes WRITERS only (seq assignment, presence bytes, batch
   /// publication). Queries never touch it — that is the whole point.

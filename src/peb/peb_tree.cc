@@ -150,12 +150,14 @@ Status PebTree::AttachExisting(const PebTreeManifest& manifest) {
   PEB_RETURN_NOT_OK(tree_.Attach(manifest.root, manifest.stats));
 
   // Rebuild the direct-access object table and partition counts from the
-  // leaf level. Every leaf entry is self-describing: the key carries the
-  // PEB value and uid, the record carries the motion state.
-  PEB_ASSIGN_OR_RETURN(auto it, tree_.SeekFirst());
-  while (it.Valid()) {
-    CompositeKey key = it.key();
-    ObjectRecord rec = it.value();
+  // leaf level: one descent to the smallest key, then the leaf chain. Every
+  // leaf entry is self-describing: the key carries the PEB value and uid,
+  // the record carries the motion state.
+  auto cursor = tree_.NewCursor();
+  PEB_RETURN_NOT_OK(cursor.SeekGE(CompositeKey{}));
+  while (cursor.Valid()) {
+    CompositeKey key = cursor.key();
+    ObjectRecord rec = cursor.value();
     StoredObject stored;
     stored.state.id = key.uid;
     stored.state.pos = {rec.x, rec.y};
@@ -171,7 +173,7 @@ Status PebTree::AttachExisting(const PebTreeManifest& manifest) {
     }
     objects_.emplace(key.uid, stored);
     label_counts_[stored.label_index]++;
-    PEB_RETURN_NOT_OK(it.Next());
+    PEB_RETURN_NOT_OK(cursor.Next());
   }
   return Status::OK();
 }

@@ -50,7 +50,6 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
 }
 
 WriteAheadLog::~WriteAheadLog() {
-  MutexLock lock(&mu_);
   if (file_ != nullptr) std::fclose(file_);
 }
 
@@ -72,7 +71,6 @@ Status WriteAheadLog::Append(const WalRecord& record) {
   put(&record.type, sizeof(record.type));
   frame.append(record.payload);
 
-  MutexLock lock(&mu_);
   PEB_RETURN_NOT_OK(CheckOpen());
   if (injector_ != nullptr) {
     switch (injector_->OnDurableWrite()) {
@@ -102,7 +100,6 @@ Status WriteAheadLog::Append(const WalRecord& record) {
 }
 
 Status WriteAheadLog::Sync() {
-  MutexLock lock(&mu_);
   PEB_RETURN_NOT_OK(CheckOpen());
   if (injector_ != nullptr && !injector_->OnSync()) {
     return Status::IOError("injected EIO on WAL sync");
@@ -119,7 +116,6 @@ Status WriteAheadLog::Sync() {
 }
 
 Status WriteAheadLog::Truncate() {
-  MutexLock lock(&mu_);
   PEB_RETURN_NOT_OK(CheckOpen());
   if (injector_ != nullptr && !injector_->OnSync()) {
     return Status::IOError("injected EIO on WAL truncate");

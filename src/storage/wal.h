@@ -23,7 +23,6 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 
 namespace peb {
 
@@ -35,9 +34,10 @@ struct WalRecord {
   std::string payload;
 };
 
-/// Thread-safe append-only log. Append/Sync/Truncate serialize on an
-/// internal mutex; callers impose any cross-record ordering they need by
-/// holding their own lock across Append (the engine's wal_mu_ does).
+/// Append-only log. Not thread-safe; its one caller serializes every call
+/// (the engine holds its WAL lock across each call, which also orders
+/// records across calls), as DiskManager leaves serialization to the
+/// buffer pool's disk mutex.
 class WriteAheadLog {
  public:
   /// Opens `path` for appending, creating it if absent. Existing contents
@@ -52,14 +52,14 @@ class WriteAheadLog {
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
   /// Appends one framed record (buffered; not yet durable — call Sync()).
-  Status Append(const WalRecord& record) EXCLUDES(mu_);
+  Status Append(const WalRecord& record);
 
   /// Durably flushes all appended records.
-  Status Sync() EXCLUDES(mu_);
+  Status Sync();
 
   /// Empties the log (checkpoint: everything before this is folded into the
   /// database file) and syncs the truncation.
-  Status Truncate() EXCLUDES(mu_);
+  Status Truncate();
 
   /// Reads the valid prefix of the log at `path`: stops silently at a torn
   /// or checksum-failing tail. A missing file yields an empty vector (a
@@ -75,11 +75,10 @@ class WriteAheadLog {
   /// IOError when the stream is closed (a failed Truncate() nulled file_):
   /// Append/Sync/Truncate must fail cleanly instead of handing a null
   /// FILE* to stdio.
-  Status CheckOpen() const REQUIRES(mu_);
+  Status CheckOpen() const;
 
   const std::string path_;
-  mutable Mutex mu_;
-  std::FILE* file_ GUARDED_BY(mu_) = nullptr;
+  std::FILE* file_ = nullptr;
   FaultInjector* const injector_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "btree/btree.h"
@@ -33,9 +34,9 @@ TEST_F(TinyBTreeTest, EmptyTree) {
   EXPECT_TRUE(tree_.empty());
   EXPECT_TRUE(tree_.Lookup(1).status().IsNotFound());
   EXPECT_TRUE(tree_.Delete(1).IsNotFound());
-  auto it = tree_.SeekFirst();
-  ASSERT_TRUE(it.ok());
-  EXPECT_FALSE(it->Valid());
+  auto cursor = tree_.NewCursor();
+  ASSERT_TRUE(cursor.SeekGE(0).ok());
+  EXPECT_FALSE(cursor.Valid());
   EXPECT_TRUE(tree_.Validate().ok());
 }
 
@@ -111,18 +112,18 @@ TEST_F(TinyBTreeTest, DeleteMissingKeyLeavesTreeIntact) {
   EXPECT_TRUE(tree_.Validate().ok());
 }
 
-TEST_F(TinyBTreeTest, IteratorWalksSortedOrder) {
+TEST_F(TinyBTreeTest, CursorWalksSortedOrder) {
   std::vector<uint64_t> keys = {42, 7, 99, 3, 56, 12, 77, 31, 8, 64};
   for (uint64_t k : keys) ASSERT_TRUE(tree_.Insert(k, k + 1).ok());
   std::sort(keys.begin(), keys.end());
 
-  auto it = tree_.SeekFirst();
-  ASSERT_TRUE(it.ok());
+  auto cursor = tree_.NewCursor();
+  ASSERT_TRUE(cursor.SeekGE(0).ok());
   std::vector<uint64_t> seen;
-  while (it->Valid()) {
-    seen.push_back(it->key());
-    EXPECT_EQ(it->value(), it->key() + 1);
-    ASSERT_TRUE(it->Next().ok());
+  while (cursor.Valid()) {
+    seen.push_back(cursor.key());
+    EXPECT_EQ(cursor.value(), cursor.key() + 1);
+    ASSERT_TRUE(cursor.Next().ok());
   }
   EXPECT_EQ(seen, keys);
 }
@@ -137,28 +138,31 @@ TEST_F(TinyBTreeTest, SeekGEFindsBoundaries) {
   };
   for (Case c : std::vector<Case>{{5, 10}, {10, 10}, {11, 20}, {95, 100},
                                   {100, 100}}) {
-    auto it = tree_.SeekGE(c.seek);
-    ASSERT_TRUE(it.ok());
-    ASSERT_TRUE(it->Valid()) << "seek " << c.seek;
-    EXPECT_EQ(it->key(), c.expect) << "seek " << c.seek;
+    auto cursor = tree_.NewCursor();  // Fresh: every seek descends.
+    ASSERT_TRUE(cursor.SeekGE(c.seek).ok());
+    ASSERT_TRUE(cursor.Valid()) << "seek " << c.seek;
+    EXPECT_EQ(cursor.key(), c.expect) << "seek " << c.seek;
   }
-  auto past = tree_.SeekGE(101);
-  ASSERT_TRUE(past.ok());
-  EXPECT_FALSE(past->Valid());
+  auto past = tree_.NewCursor();
+  ASSERT_TRUE(past.SeekGE(101).ok());
+  EXPECT_FALSE(past.Valid());
 }
 
 TEST_F(TinyBTreeTest, RangeScanAcrossLeaves) {
   for (uint64_t k = 0; k < 200; ++k) ASSERT_TRUE(tree_.Insert(k, k).ok());
-  auto it = tree_.SeekGE(50);
-  ASSERT_TRUE(it.ok());
+  const uint64_t fetches_before = pool_.stats().logical_fetches;
+  auto cursor = tree_.NewCursor();
+  ASSERT_TRUE(cursor.SeekGE(50).ok());
   uint64_t expect = 50;
-  while (it->Valid() && it->key() <= 149) {
-    EXPECT_EQ(it->key(), expect);
+  while (cursor.Valid() && cursor.key() <= 149) {
+    EXPECT_EQ(cursor.key(), expect);
     expect++;
-    ASSERT_TRUE(it->Next().ok());
+    ASSERT_TRUE(cursor.Next().ok());
   }
   EXPECT_EQ(expect, 150u);
-  EXPECT_GT(it->leaves_visited(), 1u);
+  // 100 keys span many 4-entry leaves: the walk followed the leaf chain.
+  EXPECT_GE(pool_.stats().logical_fetches - fetches_before,
+            100 / BTree<TinyFanoutTraits>::kLeafCapacity);
 }
 
 // ---------------------------------------------------------------------------
@@ -209,16 +213,16 @@ TEST_P(BTreeFuzzTest, MatchesStdMapUnderRandomOps) {
   ASSERT_TRUE(tree.Validate().ok());
   ASSERT_EQ(tree.stats().num_entries, model.size());
 
-  // Full-order comparison via iterator.
-  auto it = tree.SeekFirst();
-  ASSERT_TRUE(it.ok());
+  // Full-order comparison via a cursor walk.
+  auto cursor = tree.NewCursor();
+  ASSERT_TRUE(cursor.SeekGE(0).ok());
   for (const auto& [k, v] : model) {
-    ASSERT_TRUE(it->Valid());
-    EXPECT_EQ(it->key(), k);
-    EXPECT_EQ(it->value(), v);
-    ASSERT_TRUE(it->Next().ok());
+    ASSERT_TRUE(cursor.Valid());
+    EXPECT_EQ(cursor.key(), k);
+    EXPECT_EQ(cursor.value(), v);
+    ASSERT_TRUE(cursor.Next().ok());
   }
-  EXPECT_FALSE(it->Valid());
+  EXPECT_FALSE(cursor.Valid());
 
   // Point lookups for hits and misses.
   for (int i = 0; i < 200; ++i) {
@@ -264,16 +268,16 @@ TEST(ObjectBTree, CompositeKeyOrderAndCapacity) {
   rec.x = 3.5;
   ASSERT_TRUE(tree.Insert({41, 9}, rec).ok());
 
-  auto it = tree.SeekFirst();
-  ASSERT_TRUE(it.ok());
-  ASSERT_TRUE(it->Valid());
-  EXPECT_EQ(it->key().primary, 41u);
-  ASSERT_TRUE(it->Next().ok());
-  EXPECT_EQ(it->key().primary, 42u);
-  EXPECT_EQ(it->key().uid, 3u);
-  ASSERT_TRUE(it->Next().ok());
-  EXPECT_EQ(it->key().uid, 7u);
-  EXPECT_DOUBLE_EQ(it->value().x, 1.5);
+  auto cursor = tree.NewCursor();
+  ASSERT_TRUE(cursor.SeekGE(CompositeKey{}).ok());
+  ASSERT_TRUE(cursor.Valid());
+  EXPECT_EQ(cursor.key().primary, 41u);
+  ASSERT_TRUE(cursor.Next().ok());
+  EXPECT_EQ(cursor.key().primary, 42u);
+  EXPECT_EQ(cursor.key().uid, 3u);
+  ASSERT_TRUE(cursor.Next().ok());
+  EXPECT_EQ(cursor.key().uid, 7u);
+  EXPECT_DOUBLE_EQ(cursor.value().x, 1.5);
 }
 
 TEST(ObjectBTree, TenThousandEntriesValidate) {
@@ -291,99 +295,6 @@ TEST(ObjectBTree, TenThousandEntriesValidate) {
   ASSERT_TRUE(tree.Validate().ok());
   // Height should be small with ~100-entry leaves.
   EXPECT_LE(tree.stats().height, 3u);
-}
-
-// ---------------------------------------------------------------------------
-// Bulk load
-// ---------------------------------------------------------------------------
-
-class BulkLoadTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(BulkLoadTest, MatchesIncrementalBuild) {
-  size_t n = GetParam();
-  std::vector<std::pair<uint64_t, uint64_t>> entries;
-  for (size_t i = 0; i < n; ++i) entries.push_back({i * 3 + 1, i});
-
-  InMemoryDiskManager disk_a;
-  BufferPool pool_a(&disk_a, BufferPoolOptions{256});
-  BTree<TinyFanoutTraits> bulk(&pool_a);
-  ASSERT_TRUE(bulk.BulkLoad(entries).ok());
-  ASSERT_TRUE(bulk.Validate().ok()) << "n=" << n;
-  EXPECT_EQ(bulk.stats().num_entries, n);
-
-  InMemoryDiskManager disk_b;
-  BufferPool pool_b(&disk_b, BufferPoolOptions{256});
-  BTree<TinyFanoutTraits> incremental(&pool_b);
-  for (const auto& [k, v] : entries) {
-    ASSERT_TRUE(incremental.Insert(k, v).ok());
-  }
-
-  auto ita = bulk.SeekFirst();
-  auto itb = incremental.SeekFirst();
-  ASSERT_TRUE(ita.ok());
-  ASSERT_TRUE(itb.ok());
-  while (itb->Valid()) {
-    ASSERT_TRUE(ita->Valid());
-    EXPECT_EQ(ita->key(), itb->key());
-    EXPECT_EQ(ita->value(), itb->value());
-    ASSERT_TRUE(ita->Next().ok());
-    ASSERT_TRUE(itb->Next().ok());
-  }
-  EXPECT_FALSE(ita->Valid());
-  // Bulk-loaded trees pack leaves: never more leaves than incremental.
-  EXPECT_LE(bulk.stats().num_leaves, incremental.stats().num_leaves);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, BulkLoadTest,
-                         ::testing::Values(0u, 1u, 3u, 4u, 5u, 8u, 9u, 16u,
-                                           17u, 100u, 1000u, 4096u));
-
-TEST(BulkLoad, SupportsMutationAfterwards) {
-  InMemoryDiskManager disk;
-  BufferPool pool(&disk, BufferPoolOptions{256});
-  BTree<TinyFanoutTraits> tree(&pool);
-  std::vector<std::pair<uint64_t, uint64_t>> entries;
-  for (uint64_t i = 0; i < 500; ++i) entries.push_back({i * 2, i});
-  ASSERT_TRUE(tree.BulkLoad(entries).ok());
-
-  // Odd keys insert into the packed tree; every second even key deletes.
-  for (uint64_t i = 0; i < 500; ++i) {
-    ASSERT_TRUE(tree.Insert(i * 2 + 1, i).ok());
-  }
-  for (uint64_t i = 0; i < 500; i += 2) {
-    ASSERT_TRUE(tree.Delete(i * 2).ok());
-  }
-  ASSERT_TRUE(tree.Validate().ok());
-  EXPECT_EQ(tree.stats().num_entries, 750u);
-}
-
-TEST(BulkLoad, RejectsBadInput) {
-  InMemoryDiskManager disk;
-  BufferPool pool(&disk, BufferPoolOptions{64});
-  BTree<TinyFanoutTraits> tree(&pool);
-  // Not sorted.
-  EXPECT_TRUE(tree.BulkLoad({{5, 0}, {3, 0}}).IsInvalidArgument());
-  // Duplicate keys.
-  EXPECT_TRUE(tree.BulkLoad({{3, 0}, {3, 1}}).IsInvalidArgument());
-  // Non-empty tree.
-  ASSERT_TRUE(tree.Insert(1, 1).ok());
-  EXPECT_TRUE(tree.BulkLoad({{2, 0}}).IsInvalidArgument());
-}
-
-TEST(BulkLoad, FullPageFanout) {
-  InMemoryDiskManager disk;
-  BufferPool pool(&disk, BufferPoolOptions{64});
-  ObjectBTree tree(&pool);
-  std::vector<std::pair<CompositeKey, ObjectRecord>> entries;
-  for (uint32_t i = 0; i < 50000; ++i) {
-    entries.push_back({{static_cast<uint64_t>(i) * 7, i}, ObjectRecord{}});
-  }
-  ASSERT_TRUE(tree.BulkLoad(entries).ok());
-  ASSERT_TRUE(tree.Validate().ok());
-  EXPECT_EQ(tree.stats().num_entries, 50000u);
-  // Packed: ~total/leaf_capacity leaves.
-  EXPECT_LE(tree.stats().num_leaves,
-            50000 / ObjectBTree::kLeafCapacity + 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -412,22 +323,23 @@ TEST(LeafChain, ForwardWalkVisitsEveryKeyAfterRandomBatches) {
     }
     ASSERT_TRUE(tree.Validate().ok()) << "batch " << batch;
 
-    auto it = tree.SeekFirst();
-    ASSERT_TRUE(it.ok());
+    auto cursor = tree.NewCursor();
+    ASSERT_TRUE(cursor.SeekGE(0).ok());
     size_t visited = 0;
     uint64_t prev = 0;
     for (const auto& [k, v] : model) {
-      ASSERT_TRUE(it->Valid()) << "chain ended early in batch " << batch;
-      EXPECT_EQ(it->key(), k);
-      EXPECT_EQ(it->value(), v);
+      ASSERT_TRUE(cursor.Valid()) << "chain ended early in batch " << batch;
+      EXPECT_EQ(cursor.key(), k);
+      EXPECT_EQ(cursor.value(), v);
       if (visited > 0) {
-        EXPECT_GT(it->key(), prev);
+        EXPECT_GT(cursor.key(), prev);
       }
-      prev = it->key();
+      prev = cursor.key();
       visited++;
-      ASSERT_TRUE(it->Next().ok());
+      ASSERT_TRUE(cursor.Next().ok());
     }
-    EXPECT_FALSE(it->Valid()) << "chain has extra entries in batch " << batch;
+    EXPECT_FALSE(cursor.Valid())
+        << "chain has extra entries in batch " << batch;
     EXPECT_EQ(visited, model.size());
   }
 }
@@ -447,27 +359,25 @@ class LeafCursorTest : public ::testing::Test {
   BTree<U64Traits> tree_;
 };
 
-TEST_F(LeafCursorTest, SeekMatchesIteratorForArbitraryTargets) {
-  Fill(20000, 3);  // Keys 0, 3, ..., with gaps.
+TEST_F(LeafCursorTest, SeekMatchesLowerBoundForArbitraryTargets) {
+  Fill(20000, 3);  // Keys 0, 3, ..., with gaps; value i at key 3i.
+  std::set<uint64_t> keys;
+  for (uint64_t i = 0; i < 20000; ++i) keys.insert(i * 3);
   auto cursor = tree_.NewCursor();
   Rng rng(7);
   for (int probe = 0; probe < 500; ++probe) {
     uint64_t target = rng.NextBelow(3 * 20000 + 10);
     ASSERT_TRUE(cursor.SeekGE(target).ok());
-    auto it = tree_.SeekGE(target);
-    ASSERT_TRUE(it.ok());
-    ASSERT_EQ(cursor.Valid(), it->Valid()) << "target " << target;
-    if (cursor.Valid()) {
-      EXPECT_EQ(cursor.key(), it->key());
-      EXPECT_EQ(cursor.value(), it->value());
-      // Walk a few entries to check iteration parity too.
-      for (int step = 0; step < 5 && cursor.Valid() && it->Valid(); ++step) {
-        EXPECT_EQ(cursor.key(), it->key());
-        ASSERT_TRUE(cursor.Next().ok());
-        ASSERT_TRUE(it->Next().ok());
-      }
-      ASSERT_EQ(cursor.Valid(), it->Valid());
+    auto want = keys.lower_bound(target);
+    ASSERT_EQ(cursor.Valid(), want != keys.end()) << "target " << target;
+    // Walk a few entries to check iteration against the ordered keys too.
+    for (int step = 0; step < 5 && want != keys.end(); ++step, ++want) {
+      ASSERT_TRUE(cursor.Valid()) << "target " << target;
+      EXPECT_EQ(cursor.key(), *want);
+      EXPECT_EQ(cursor.value(), *want / 3);
+      ASSERT_TRUE(cursor.Next().ok());
     }
+    ASSERT_EQ(cursor.Valid(), want != keys.end()) << "target " << target;
   }
 }
 
@@ -481,7 +391,7 @@ TEST_F(LeafCursorTest, AscendingSeeksReuseThePositionInsteadOfDescending) {
     EXPECT_EQ(cursor.key(), target);
   }
   // Nearby ascending probes resolve via the sibling chain: the descent
-  // count stays far below one-per-probe (the legacy Iterator cost).
+  // count stays far below one per probe.
   EXPECT_EQ(probes, 500u);
   EXPECT_LT(cursor.descents(), probes / 4);
   EXPECT_GT(cursor.chain_hops(), 0u);

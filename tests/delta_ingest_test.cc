@@ -5,8 +5,8 @@
 // joins/leaves, queries, and explicit merges. The reference is a mirror
 // Dataset of the live objects (answered by the Definition 2/3 brute-force
 // oracles) plus a plain PebTree fed the same operations (for the
-// continuous-query monitor). A concurrent smoke (a merging thread + writers +
-// readers) runs under the TSan CI job.
+// continuous-query monitor). Two concurrent cases (a merging thread + writers +
+// readers) run under the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "engine/sharded_engine.h"
@@ -555,6 +556,128 @@ TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndBackgroundMerges) {
   ASSERT_TRUE(engine->MergeDeltas().ok());
   ExpectMatchesMirror(w, *engine, mirror, 888, "concurrent-settled");
   ASSERT_TRUE(engine->ValidateInvariants().ok());
+}
+
+// Readers share a shard tree with no lock of its own: with one shard every
+// query scans the same tree while a writer's moves and a merging thread
+// keep splitting and merging its pages. The moves touch only users outside
+// every query issuer's friend list, so no query can return them, and every
+// answer must equal the brute-force answer over the loaded dataset
+// throughout.
+TEST(DeltaIngestConcurrency, QueriesStayExactWhileMergesRestructureTrees) {
+  WorkloadParams wp;
+  wp.num_users = 1500;  // 15+ leaves on one shard, several on each of 4.
+  wp.policies_per_user = 20;
+  wp.buffer_pages = 64;
+  wp.grid_bits = 8;
+  wp.seed = 41;
+  Workload w = Workload::Build(wp);
+  const double td = w.params().time_domain;
+  const auto snapshot = w.catalog()->snapshot();
+
+  // Four PRQs and four PkNNs with non-empty answers, from a larger
+  // candidate set (most random issuers are answered by nobody).
+  constexpr size_t kQueries = 4;
+  QuerySetOptions q;
+  q.count = 200;
+  q.window_side = 500.0;
+  q.seed = 901;
+  std::vector<eval::PrqQuery> prqs;
+  std::vector<std::vector<UserId>> prq_want;
+  std::unordered_set<UserId> answerable;
+  for (const auto& prq : MakePrqQueries(w, q)) {
+    auto want = testing::BruteForcePrq(w.dataset(), w.store(), w.roles(),
+                                       prq.issuer, prq.range, prq.tq, td);
+    if (want.empty() || prqs.size() == kQueries) continue;
+    prqs.push_back(prq);
+    prq_want.push_back(std::move(want));
+    for (const FriendEntry& f : snapshot->FriendsOf(prq.issuer)) {
+      answerable.insert(f.uid);
+    }
+  }
+  std::vector<eval::PknnQuery> knns;
+  std::vector<std::vector<Neighbor>> knn_want;
+  for (const auto& knn : MakePknnQueries(w, q)) {
+    auto want = testing::BruteForcePknn(w.dataset(), w.store(), w.roles(),
+                                        knn.issuer, knn.qloc, knn.k, knn.tq,
+                                        td);
+    if (want.empty() || knns.size() == kQueries) continue;
+    knns.push_back(knn);
+    knn_want.push_back(std::move(want));
+    for (const FriendEntry& f : snapshot->FriendsOf(knn.issuer)) {
+      answerable.insert(f.uid);
+    }
+  }
+  ASSERT_EQ(prqs.size(), kQueries);
+  ASSERT_EQ(knns.size(), kQueries);
+  constexpr size_t kBatches = 60;
+  constexpr size_t kBatchSize = 16;
+  auto stream = CloneUniformUpdateStream(w);
+  std::vector<std::vector<UpdateEvent>> batches(kBatches);
+  for (auto& batch : batches) {
+    while (batch.size() < kBatchSize) {
+      UpdateEvent ev = stream->Next();
+      if (!answerable.contains(ev.state.id)) batch.push_back(ev);
+    }
+  }
+
+  for (size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    EngineOptions opts;
+    opts.num_shards = shards;
+    opts.num_threads = 4;
+    opts.buffer_pages = wp.buffer_pages;
+    opts.tree = eval::PebOptionsFor(wp);
+    opts.delta.merge_threshold = 8;
+    ShardedPebEngine engine(opts, &w.store(), &w.roles(), snapshot);
+    ASSERT_TRUE(engine.LoadDataset(w.dataset()).ok());
+
+    // Bounded reader loops with sleeps between passes, as above, so the
+    // merges' exclusive acquisitions are not starved.
+    const uint64_t merges_before = engine.delta_stats().merges;
+    std::atomic<bool> reading{true};
+    std::thread writer([&] {
+      for (size_t i = 0;
+           i < kBatches && reading.load(std::memory_order_acquire); ++i) {
+        EXPECT_TRUE(engine.ApplyBatch(batches[i]).ok());
+        std::this_thread::sleep_for(std::chrono::microseconds(500));
+      }
+    });
+    std::thread merger([&] {
+      while (reading.load(std::memory_order_acquire)) {
+        EXPECT_TRUE(engine.MergeDeltas().ok());
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 4; ++r) {
+      readers.emplace_back([&] {
+        for (int pass = 0; pass < 15; ++pass) {
+          for (size_t i = 0; i < prqs.size(); ++i) {
+            auto got =
+                engine.RangeQuery(prqs[i].issuer, prqs[i].range, prqs[i].tq);
+            ASSERT_TRUE(got.ok());
+            EXPECT_EQ(*got, prq_want[i]) << "prq " << i;
+          }
+          for (size_t i = 0; i < knns.size(); ++i) {
+            auto got = engine.KnnQuery(knns[i].issuer, knns[i].qloc,
+                                       knns[i].k, knns[i].tq);
+            ASSERT_TRUE(got.ok());
+            testing::ExpectSamePknn(knn_want[i], *got,
+                                    "pknn " + std::to_string(i));
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
+    }
+    for (auto& t : readers) t.join();
+    const uint64_t merges_during = engine.delta_stats().merges - merges_before;
+    reading.store(false, std::memory_order_release);
+    writer.join();
+    merger.join();
+    EXPECT_GT(merges_during, 0u);
+    ASSERT_TRUE(engine.ValidateInvariants().ok());
+  }
 }
 
 }  // namespace

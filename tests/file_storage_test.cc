@@ -48,13 +48,13 @@ TEST_F(FileBackedTest, BTreeFuzzOnRealFile) {
   }
   ASSERT_TRUE(tree.Validate().ok());
   ASSERT_EQ(tree.stats().num_entries, model.size());
-  auto it = tree.SeekFirst();
-  ASSERT_TRUE(it.ok());
+  auto cursor = tree.NewCursor();
+  ASSERT_TRUE(cursor.SeekGE(0).ok());
   for (const auto& [k, v] : model) {
-    ASSERT_TRUE(it->Valid());
-    EXPECT_EQ(it->key(), k);
-    EXPECT_EQ(it->value(), v);
-    ASSERT_TRUE(it->Next().ok());
+    ASSERT_TRUE(cursor.Valid());
+    EXPECT_EQ(cursor.key(), k);
+    EXPECT_EQ(cursor.value(), v);
+    ASSERT_TRUE(cursor.Next().ok());
   }
   // Data actually hit the file.
   EXPECT_GT(pool.stats().physical_writes, 0u);
