@@ -13,42 +13,22 @@ Result<std::vector<UserId>> FilteringIndex::RangeQueryWithStats(
   size_t span = telemetry::TraceScope::Open(stats, "bx-tree prq");
   BufferPool::ThreadIoScope io_scope(stats == nullptr ? nullptr
                                                       : &stats->io);
-  PEB_ASSIGN_OR_RETURN(auto candidates, tree_.RangeQuery(range, tq));
+  QueryCounters counters;
+  PEB_ASSIGN_OR_RETURN(auto candidates,
+                       tree_.RangeQuery(range, tq, &counters));
   std::vector<UserId> out;
   for (const SpatialCandidate& cand : candidates) {
     if (Qualifies(issuer, cand, tq)) out.push_back(cand.uid);
   }
   std::sort(out.begin(), out.end());
   if (stats != nullptr) {
-    // The BxTree's per-query slot is exact here: this single-tree index is
-    // externally serialized, so no other query interleaved with ours.
-    stats->counters = tree_.last_query();
+    stats->counters = counters;
     stats->counters.results = out.size();
     stats->epoch = encoding_epoch();
     telemetry::TraceScope::Close(stats, span, stats->counters, stats->io);
   }
   return out;
 }
-
-namespace {
-
-struct AcceptCtx {
-  const FilteringIndex* self;
-  UserId issuer;
-  Timestamp tq;
-  const PolicyStore* store;
-  const RoleRegistry* roles;
-  double time_domain;
-};
-
-bool PolicyAccept(void* raw, const SpatialCandidate& cand) {
-  auto* ctx = static_cast<AcceptCtx*>(raw);
-  return cand.uid != ctx->issuer &&
-         ctx->store->Allows(cand.uid, ctx->issuer, cand.pos, ctx->tq,
-                            *ctx->roles, ctx->time_domain);
-}
-
-}  // namespace
 
 Result<std::vector<Neighbor>> FilteringIndex::KnnQueryWithStats(
     UserId issuer, const Point& qloc, size_t k, Timestamp tq,
@@ -58,10 +38,19 @@ Result<std::vector<Neighbor>> FilteringIndex::KnnQueryWithStats(
   size_t span = telemetry::TraceScope::Open(stats, "bx-tree pknn");
   BufferPool::ThreadIoScope io_scope(stats == nullptr ? nullptr
                                                       : &stats->io);
-  AcceptCtx ctx{this, issuer, tq, store_, roles_, time_domain_};
-  auto result = tree_.KnnQuery(qloc, k, tq, &PolicyAccept, &ctx);
+  struct AcceptCtx {
+    const FilteringIndex* self;
+    UserId issuer;
+    Timestamp tq;
+  } ctx{this, issuer, tq};
+  auto accept = [](void* raw, const SpatialCandidate& cand) {
+    const auto* c = static_cast<const AcceptCtx*>(raw);
+    return c->self->Qualifies(c->issuer, cand, c->tq);
+  };
+  QueryCounters counters;
+  auto result = tree_.KnnQuery(qloc, k, tq, accept, &ctx, &counters);
   if (stats != nullptr) {
-    stats->counters = tree_.last_query();
+    stats->counters = counters;
     stats->epoch = encoding_epoch();
     telemetry::TraceScope::Close(stats, span, stats->counters, stats->io);
   }

@@ -57,9 +57,7 @@ class FilteringIndex final : public PrivacyAwareIndex {
   IoStats aggregate_io() const override { return tree_.pool()->stats(); }
   void ResetIo() override { tree_.pool()->ResetStats(); }
 
-  /// PRQ: spatial range query, then policy filtering on the result. The
-  /// counters come from the underlying BxTree's per-query slot, which is
-  /// exact because this single-tree index is externally serialized.
+  /// PRQ: spatial range query, then policy filtering on the result.
   Result<std::vector<UserId>> RangeQueryWithStats(UserId issuer,
                                                   const Rect& range,
                                                   Timestamp tq,
@@ -88,9 +86,8 @@ class FilteringIndex final : public PrivacyAwareIndex {
 
   bool Qualifies(UserId issuer, const SpatialCandidate& cand,
                  Timestamp tq) const {
-    return cand.uid != issuer &&
-           store_->Allows(cand.uid, issuer, cand.pos, tq, *roles_,
-                          time_domain_);
+    return store_->Qualifies(cand.uid, issuer, cand.pos, tq, *roles_,
+                             time_domain_);
   }
 
   BxTree tree_;

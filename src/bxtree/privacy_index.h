@@ -51,10 +51,9 @@ struct QueryCounters {
 };
 
 /// Per-query observability carried out of a query by value: the query's
-/// work counters plus its own buffer-pool traffic delta. This replaces the
-/// old last_query()/ResetIo() observer pattern, which is meaningless when
-/// queries overlap — ...WithStats entry points fill one of these per call,
-/// and the service layer forwards it inside every QueryResponse.
+/// work counters plus its own buffer-pool traffic delta. ...WithStats entry
+/// points fill one of these per call, and the service layer forwards it
+/// inside every QueryResponse, so counts stay exact when queries overlap.
 struct QueryStats {
   QueryCounters counters;
   IoStats io;
@@ -100,6 +99,12 @@ inline Status UnknownIssuerError(UserId issuer) {
 }
 
 /// A moving-object index answering privacy-aware queries.
+///
+/// Queries (RangeQueryWithStats, KnnQueryWithStats, GetObject) write no
+/// shared index state — their counters travel in the caller's QueryStats —
+/// so any number of them may run at once. Mutations (Insert, Update,
+/// Delete, AdoptSnapshot) must exclude them, except on indexes that lock
+/// internally (the sharded engine).
 class PrivacyAwareIndex {
  public:
   virtual ~PrivacyAwareIndex() = default;
@@ -120,11 +125,6 @@ class PrivacyAwareIndex {
   /// structures (e.g. ContinuousQueryMonitor) re-evaluate memberships
   /// through this, which is what lets them run over any index.
   virtual Result<MovingObject> GetObject(UserId id) const = 0;
-
-  /// True when PRQ/PkNN may be issued from several threads at once (the
-  /// sharded engine). Single-tree indexes return false and callers (the
-  /// service layer) must serialize queries externally.
-  virtual bool SupportsConcurrentQueries() const { return false; }
 
   /// Adopts a new policy-encoding snapshot, atomically with respect to
   /// queries: swaps the index's encoding and re-keys `rekey` (delete +

@@ -51,8 +51,6 @@
 #define RELEASE(...) PEB_TS_ATTRIBUTE(release_capability(__VA_ARGS__))
 #define RELEASE_SHARED(...) \
   PEB_TS_ATTRIBUTE(release_shared_capability(__VA_ARGS__))
-#define RELEASE_GENERIC(...) \
-  PEB_TS_ATTRIBUTE(release_generic_capability(__VA_ARGS__))
 #define TRY_ACQUIRE(...) PEB_TS_ATTRIBUTE(try_acquire_capability(__VA_ARGS__))
 #define TRY_ACQUIRE_SHARED(...) \
   PEB_TS_ATTRIBUTE(try_acquire_shared_capability(__VA_ARGS__))
@@ -151,44 +149,6 @@ class SCOPED_CAPABILITY ReaderMutexLock {
 
  private:
   SharedMutex* mu_;
-};
-
-/// RAII lock whose mode is chosen at runtime (the service layer locks
-/// index_mu_ shared for indexes that support concurrent queries and
-/// exclusive otherwise). The analysis sees the conservative lower bound —
-/// shared acquisition — which is exactly what readers of guarded state may
-/// rely on; the generic release matches either mode.
-class SCOPED_CAPABILITY SharedOrExclusiveLock {
- public:
-  SharedOrExclusiveLock(SharedMutex* mu, bool exclusive) ACQUIRE_SHARED(mu)
-      : mu_(mu), exclusive_(exclusive) {
-    LockImpl();
-  }
-  ~SharedOrExclusiveLock() RELEASE_GENERIC() { UnlockImpl(); }
-
-  SharedOrExclusiveLock(const SharedOrExclusiveLock&) = delete;
-  SharedOrExclusiveLock& operator=(const SharedOrExclusiveLock&) = delete;
-
- private:
-  // The mode dispatch must stay invisible to the analysis: the ctor/dtor
-  // attributes above already state the net effect.
-  void LockImpl() NO_THREAD_SAFETY_ANALYSIS {
-    if (exclusive_) {
-      mu_->Lock();
-    } else {
-      mu_->ReaderLock();
-    }
-  }
-  void UnlockImpl() NO_THREAD_SAFETY_ANALYSIS {
-    if (exclusive_) {
-      mu_->Unlock();
-    } else {
-      mu_->ReaderUnlock();
-    }
-  }
-
-  SharedMutex* mu_;
-  bool exclusive_;
 };
 
 }  // namespace peb

@@ -6,9 +6,10 @@
 //                one record per ApplyBatch / single-op mutation, appended
 //                after the in-RAM apply succeeds (correct because durable
 //                state only changes at checkpoints; see sharded_engine.h).
-//   kMerge       advisory delta-merge marker: replay calls MergeDeltas() so
-//                the recovered engine's delta/tree split converges to the
-//                original's without bit-level tree journaling.
+//   (type 2)     reserved: older logs carry advisory delta-merge markers
+//                here. They cannot change what recovery produces — Open()
+//                re-checkpoints any non-empty log, merging every delta — so
+//                replay skips them like any unknown type.
 //   kRekey       policy re-key adoption barrier (payload: new epoch).
 //                AdoptSnapshot checkpoints immediately after logging it, so
 //                an uncommitted kRekey can only be the WAL tail; replay
@@ -37,7 +38,7 @@ namespace peb::engine_wal {
 
 enum RecordType : uint8_t {
   kEvents = 1,
-  kMerge = 2,
+  kMerge = 2,  ///< Reserved (see above); never written.
   kRekey = 3,
   kPageImage = 4,
   kCheckpoint = 5,

@@ -239,20 +239,6 @@ Status ShardedPebEngine::LogOps(
   return st;
 }
 
-Status ShardedPebEngine::LogMerge() {
-  if (wal_ == nullptr || replaying_) return Status::OK();
-  MutexLock wal_lock(&wal_mu_);
-  PEB_RETURN_NOT_OK(durability_error_);
-  WalRecord rec;
-  rec.seq = ++wal_seq_;
-  rec.type = engine_wal::kMerge;
-  // Advisory — not synced: losing the marker loses no data, replay just
-  // carries a larger delta until its own merge triggers fire.
-  Status st = wal_->Append(rec);
-  if (!st.ok()) durability_error_ = st;
-  return st;
-}
-
 Status ShardedPebEngine::Checkpoint() {
   WriterMutexLock state_lock(&state_mu_);
   return CheckpointLocked(/*clean=*/false);
@@ -489,8 +475,6 @@ Result<std::unique_ptr<ShardedPebEngine>> ShardedPebEngine::Open(
             break;
         }
       }
-    } else if (rec.type == engine_wal::kMerge) {
-      replay_st = engine->MergeDeltas();
     } else if (rec.type == engine_wal::kRekey) {
       // Epoch barrier: records past it would need the post-adopt encoding,
       // and AdoptSnapshot checkpoints right after logging it — so a kRekey
@@ -817,9 +801,7 @@ Status ShardedPebEngine::MergeShardsLocked(const std::vector<size_t>& which) {
                  merged_total.load(std::memory_order_relaxed));
   UpdateBacklogGauge();
   if (options_.tree.index.paranoid_checks) PEB_RETURN_NOT_OK(ValidateLocked());
-  // Advisory marker so replay merges at roughly the same points and the
-  // recovered engine's delta/tree split converges to the original's.
-  return LogMerge();
+  return Status::OK();
 }
 
 Status ShardedPebEngine::MaybeMergeDeltas() {
@@ -1083,8 +1065,8 @@ Result<std::vector<UserId>> ShardedPebEngine::RangeQueryWithStats(
   for (const DeltaCandidate& c : delta_cands) {
     const Point pos = c.state.PositionAt(tq);
     if (range.Contains(pos) &&
-        PebTree::VerifyAgainst(*store_, *roles_, options_.tree.time_domain,
-                               issuer, c.uid, pos, tq)) {
+        store_->Qualifies(c.uid, issuer, pos, tq, *roles_,
+                          options_.tree.time_domain)) {
       merged.push_back(c.uid);
     }
   }
@@ -1130,8 +1112,8 @@ Result<std::vector<Neighbor>> ShardedPebEngine::KnnQueryWithStats(
   OverlayFriends(&per_shard, watermark, &delta_cands);
   for (const DeltaCandidate& c : delta_cands) {
     const Point pos = c.state.PositionAt(tq);
-    if (PebTree::VerifyAgainst(*store_, *roles_, options_.tree.time_domain,
-                               issuer, c.uid, pos, tq)) {
+    if (store_->Qualifies(c.uid, issuer, pos, tq, *roles_,
+                          options_.tree.time_domain)) {
       Neighbor nb{c.uid, pos.DistanceTo(qloc)};
       auto at = std::lower_bound(verified.begin(), verified.end(), nb,
                                  [](const Neighbor& a, const Neighbor& b) {

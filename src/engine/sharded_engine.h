@@ -61,7 +61,7 @@
 // admission and merge the delta with the tree scan: friends with a visible
 // delta record are lifted out of the per-shard tree candidate lists and
 // evaluated directly from their delta state through the SAME Definition-2
-// predicate the tree scans use (PebTree::VerifyAgainst), so answers do not
+// predicate the tree scans use (PolicyStore::Qualifies), so answers do not
 // depend on how much has been merged, and queries never wait behind update
 // application.
 // Deltas drain into the B+-trees in bounded merges — on a per-shard
@@ -146,7 +146,10 @@ struct EngineOptions {
   /// single-tree experiments — exactly, since there is no per-shard
   /// split).
   size_t buffer_pages = 50;
-  /// Per-shard PEB-tree configuration (shared by all shards).
+  /// Per-shard PEB-tree configuration (shared by all shards). The engine
+  /// always sweeps PkNN by anti-diagonal: `tree.knn_order` is honoured
+  /// only by the single tree (PebTree::KnnQueryAmong) and read by no
+  /// engine code.
   PebTreeOptions tree;
   /// Log-structured ingestion tuning.
   struct DeltaIngestOptions {
@@ -208,9 +211,6 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   Status Delete(UserId id) override;
   size_t size() const override;
   Result<MovingObject> GetObject(UserId id) const override;
-  /// Queries may be issued from any number of threads concurrently; the
-  /// service layer relies on this to fan Submit() out without locking.
-  bool SupportsConcurrentQueries() const override { return true; }
   /// The shared pool serving every shard tree.
   BufferPool* pool() override;
   IoStats aggregate_io() const override;
@@ -442,10 +442,6 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   /// poisons the engine and propagates.
   Status LogOps(const std::vector<engine_wal::LoggedOp>& ops)
       EXCLUDES(wal_mu_);
-
-  /// Journals an advisory kMerge marker (not synced: losing it never loses
-  /// data, replay just buffers more before its own merges).
-  Status LogMerge() EXCLUDES(wal_mu_);
 
   /// Checkpoint() for callers already holding state_mu_ exclusive.
   /// Additionally freezes ingest (state_mu_ -> ingest_mu_, see lock order)

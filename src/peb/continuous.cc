@@ -17,8 +17,8 @@ ContinuousQueryMonitor::ContinuousQueryMonitor(
 bool ContinuousQueryMonitor::Qualifies(const RegisteredQuery& q, UserId uid,
                                        const Point& pos,
                                        Timestamp now) const {
-  return uid != q.issuer && q.range.Contains(pos) &&
-         store_->Allows(uid, q.issuer, pos, now, *roles_, time_domain_);
+  return q.range.Contains(pos) &&
+         store_->Qualifies(uid, q.issuer, pos, now, *roles_, time_domain_);
 }
 
 void ContinuousQueryMonitor::SetMembership(ContinuousQueryId id,

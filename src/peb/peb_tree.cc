@@ -27,10 +27,8 @@ constexpr uint32_t kQsvRunGap = 1;
 PebTree::PebTree(BufferPool* pool, const PebTreeOptions& options,
                  const PolicyStore* store, const RoleRegistry* roles,
                  std::shared_ptr<const EncodingSnapshot> snapshot)
-    : pool_(pool),
-      options_(options),
-      grid_(options.index.space_side, options.index.grid_bits),
-      tree_(pool),
+    : options_(options),
+      tree_(pool, options.index),
       store_(store),
       roles_(roles),
       snapshot_(std::move(snapshot)) {
@@ -42,67 +40,27 @@ PebTree::PebTree(BufferPool* pool, const PebTreeOptions& options,
 }
 
 uint64_t PebTree::KeyFor(const MovingObject& object) const {
-  int64_t label = options_.index.partitions.LabelIndexFor(object.tu);
-  Timestamp tlab = options_.index.partitions.LabelTimestamp(label);
-  Point projected = object.PositionAt(tlab);
-  uint64_t zv = grid_.ZValueOf(projected);
+  const TimePartitionLayout& partitions = options_.index.partitions;
+  int64_t label = partitions.LabelIndexFor(object.tu);
+  Point projected = object.PositionAt(partitions.LabelTimestamp(label));
+  uint64_t zv = tree_.grid().ZValueOf(projected);
   uint32_t qsv = snapshot_->quantized_sv(object.id);
-  return layout_.MakeKey(options_.index.partitions.PartitionOf(label), qsv,
-                         zv);
+  return layout_.MakeKey(partitions.PartitionOf(label), qsv, zv);
 }
 
 Status PebTree::Insert(const MovingObject& object) {
-  if (objects_.contains(object.id)) {
-    return Status::AlreadyExists("object " + std::to_string(object.id) +
-                                 " already indexed");
-  }
+  // KeyFor indexes the snapshot by id.
   if (object.id >= snapshot_->num_users()) {
     return Status::InvalidArgument("object id outside the policy encoding");
   }
-  StoredObject stored;
-  stored.state = object;
-  stored.label_index = options_.index.partitions.LabelIndexFor(object.tu);
-  stored.key = KeyFor(object);
-
-  ObjectRecord rec;
-  rec.x = object.pos.x;
-  rec.y = object.pos.y;
-  rec.vx = object.vel.x;
-  rec.vy = object.vel.y;
-  rec.tu = object.tu;
-  rec.pntp = object.id;
-
-  PEB_RETURN_NOT_OK(tree_.Insert({stored.key, object.id}, rec));
-  objects_.emplace(object.id, stored);
-  label_counts_[stored.label_index]++;
-  return Status::OK();
-}
-
-Status PebTree::Delete(UserId id) {
-  auto it = objects_.find(id);
-  if (it == objects_.end()) {
-    return Status::NotFound("object " + std::to_string(id));
-  }
-  PEB_RETURN_NOT_OK(tree_.Delete({it->second.key, id}));
-  auto lc = label_counts_.find(it->second.label_index);
-  if (--lc->second == 0) label_counts_.erase(lc);
-  objects_.erase(it);
-  return Status::OK();
+  return tree_.Insert(object, KeyFor(object));
 }
 
 Status PebTree::Update(const MovingObject& object) {
-  if (objects_.contains(object.id)) {
-    PEB_RETURN_NOT_OK(Delete(object.id));
+  if (tree_.contains(object.id)) {
+    PEB_RETURN_NOT_OK(tree_.Delete(object.id));
   }
   return Insert(object);
-}
-
-Result<MovingObject> PebTree::GetObject(UserId id) const {
-  auto it = objects_.find(id);
-  if (it == objects_.end()) {
-    return Status::NotFound("object " + std::to_string(id));
-  }
-  return it->second.state;
 }
 
 Status PebTree::AdoptSnapshot(std::shared_ptr<const EncodingSnapshot> snapshot,
@@ -120,133 +78,39 @@ Status PebTree::AdoptSnapshot(std::shared_ptr<const EncodingSnapshot> snapshot,
   }
   snapshot_ = std::move(snapshot);
 
-  // Re-key through the normal update path: Delete uses the remembered old
-  // key, Insert recomputes KeyFor under the new snapshot. Collect hosted
-  // ids first — Update mutates objects_.
+  // Re-key through the normal update path: the delete uses the remembered
+  // old key, Insert recomputes KeyFor under the new snapshot. Collect hosted
+  // ids first — Update mutates the object table.
   std::vector<UserId> moved;
   if (rekey != nullptr) {
     moved.reserve(rekey->size());
     for (UserId uid : *rekey) {
-      if (objects_.contains(uid)) moved.push_back(uid);
+      if (tree_.contains(uid)) moved.push_back(uid);
     }
   } else {
     // Self-sufficient mode: diff every hosted record's key.
-    for (const auto& [uid, stored] : objects_) {
-      if (KeyFor(stored.state) != stored.key) moved.push_back(uid);
-    }
+    tree_.ForEach([&](UserId uid, const MovingObject& state, uint64_t key) {
+      if (KeyFor(state) != key) moved.push_back(uid);
+    });
   }
   for (UserId uid : moved) {
-    // By value: Update deletes the map node the reference would point into.
-    MovingObject state = objects_.at(uid).state;
+    PEB_ASSIGN_OR_RETURN(MovingObject state, tree_.Get(uid));
     PEB_RETURN_NOT_OK(Update(state));
   }
   return Status::OK();
 }
 
-Status PebTree::AttachExisting(const PebTreeManifest& manifest) {
-  if (!objects_.empty()) {
-    return Status::InvalidArgument("AttachExisting requires an empty index");
-  }
-  PEB_RETURN_NOT_OK(tree_.Attach(manifest.root, manifest.stats));
-
-  // Rebuild the direct-access object table and partition counts from the
-  // leaf level: one descent to the smallest key, then the leaf chain. Every
-  // leaf entry is self-describing: the key carries the PEB value and uid,
-  // the record carries the motion state.
-  auto cursor = tree_.NewCursor();
-  PEB_RETURN_NOT_OK(cursor.SeekGE(CompositeKey{}));
-  while (cursor.Valid()) {
-    CompositeKey key = cursor.key();
-    ObjectRecord rec = cursor.value();
-    StoredObject stored;
-    stored.state.id = key.uid;
-    stored.state.pos = {rec.x, rec.y};
-    stored.state.vel = {rec.vx, rec.vy};
-    stored.state.tu = rec.tu;
-    stored.label_index = options_.index.partitions.LabelIndexFor(rec.tu);
-    stored.key = key.primary;
-    if (objects_.contains(key.uid)) {
-      objects_.clear();
-      label_counts_.clear();
-      return Status::Corruption("duplicate uid " + std::to_string(key.uid) +
-                                " in persisted index");
-    }
-    objects_.emplace(key.uid, stored);
-    label_counts_[stored.label_index]++;
-    PEB_RETURN_NOT_OK(cursor.Next());
-  }
-  return Status::OK();
-}
-
 Status PebTree::ValidateInvariants() const {
-  // Layer 1: the B+-tree's own structural walk (key order, separator
-  // bounds, occupancy, uniform depth, leaf chain, stats agreement).
-  PEB_RETURN_NOT_OK(tree_.Validate());
-
-  // Layer 2: tree ↔ object-table correspondence.
-  if (tree_.stats().num_entries != objects_.size()) {
-    return Status::Corruption(
-        "tree holds " + std::to_string(tree_.stats().num_entries) +
-        " entries but the object table holds " +
-        std::to_string(objects_.size()));
-  }
-  std::unordered_map<int64_t, size_t> recount;
-  for (const auto& [uid, stored] : objects_) {
-    if (stored.state.id != uid) {
-      return Status::Corruption("object table slot " + std::to_string(uid) +
-                                " holds state of user " +
-                                std::to_string(stored.state.id));
-    }
-    // Layer 3: every composite key re-derives from the state under the
-    // PINNED snapshot (partition ⊕ quantized SV ⊕ Z value, Eq. 5) — a
-    // missed re-key after snapshot adoption shows up here.
-    const uint64_t expect = KeyFor(stored.state);
-    if (stored.key != expect) {
-      return Status::Corruption(
-          "user " + std::to_string(uid) + " stored under key " +
-          std::to_string(stored.key) +
-          " but the pinned snapshot derives key " + std::to_string(expect));
-    }
-    const int64_t label =
-        options_.index.partitions.LabelIndexFor(stored.state.tu);
-    if (stored.label_index != label) {
-      return Status::Corruption(
-          "user " + std::to_string(uid) + " carries label index " +
-          std::to_string(stored.label_index) + " but tu derives " +
-          std::to_string(label));
-    }
-    recount[label]++;
-    Result<ObjectRecord> rec = tree_.Lookup({stored.key, uid});
-    if (!rec.ok()) {
-      return Status::Corruption("user " + std::to_string(uid) +
-                                " unreachable under its composite key: " +
-                                rec.status().ToString());
-    }
-    if (rec->x != stored.state.pos.x || rec->y != stored.state.pos.y ||
-        rec->vx != stored.state.vel.x || rec->vy != stored.state.vel.y ||
-        rec->tu != stored.state.tu) {
-      return Status::Corruption("user " + std::to_string(uid) +
-                                ": leaf payload disagrees with the object "
-                                "table");
-    }
-  }
-  // Layer 4: the per-label population histogram the query planner
-  // enumerates (one scan loop per live label) is exact.
-  if (recount != label_counts_) {
-    return Status::Corruption("label population histogram drifted (" +
-                              std::to_string(label_counts_.size()) +
-                              " labels tracked, " +
-                              std::to_string(recount.size()) + " live)");
-  }
-  return Status::OK();
+  return tree_.Validate(
+      [this](const MovingObject& object) { return KeyFor(object); });
 }
 
 std::vector<PebTree::SvRun> PebTree::BuildRuns(
-    const std::vector<FriendEntry>& friends) {
+    const std::vector<FriendEntry>& friends, bool span) {
   std::vector<SvRun> runs;
-  runs.reserve(friends.size());
+  runs.reserve(span ? 1 : friends.size());
   for (const FriendEntry& f : friends) {  // Ascending (qsv, uid).
-    if (runs.empty() || f.qsv > runs.back().qsv_hi + kQsvRunGap) {
+    if (runs.empty() || (!span && f.qsv > runs.back().qsv_hi + kQsvRunGap)) {
       runs.emplace_back();
       runs.back().qsv_lo = f.qsv;
     }
@@ -254,73 +118,43 @@ std::vector<PebTree::SvRun> PebTree::BuildRuns(
     run.qsv_hi = f.qsv;
     if (run.wanted.insert(f.uid).second) run.remaining++;
   }
+  for (SvRun& run : runs) run.per_interval = span || run.qsv_lo == run.qsv_hi;
   return runs;
 }
 
-bool PebTree::VerifyAgainst(const PolicyStore& store,
-                            const RoleRegistry& roles, double time_domain,
-                            UserId issuer, UserId uid, const Point& pos,
-                            Timestamp tq) {
-  return uid != issuer &&
-         store.Allows(uid, issuer, pos, tq, roles, time_domain);
-}
-
-bool PebTree::Verify(UserId issuer, const SpatialCandidate& cand,
-                     Timestamp tq) const {
-  return VerifyAgainst(*store_, *roles_, options_.time_domain, issuer,
-                       cand.uid, cand.pos, tq);
-}
-
-Status PebTree::ScanKeyRange(ObjectBTree::LeafCursor* cursor,
-                             CompositeKey start, uint64_t end_primary,
-                             const std::unordered_set<UserId>* wanted,
-                             std::unordered_set<UserId>* found,
-                             size_t* remaining,
-                             std::vector<SpatialCandidate>* out, Timestamp tq,
-                             QueryCounters* counters) const {
-  counters->range_probes++;
-  size_t d0 = cursor->descents();
-  size_t h0 = cursor->chain_hops();
-  PEB_RETURN_NOT_OK(cursor->SeekGE(start));
-  counters->seek_descents += cursor->descents() - d0;
-  counters->leaf_hops += cursor->chain_hops() - h0;
-  // Consume until the key leaves [.., end_primary] — or until `*remaining`
-  // hits zero, after which no further wanted user can appear.
-  while (cursor->Valid()) {
-    CompositeKey key = cursor->key();
-    if (key.primary > end_primary) break;
-    counters->candidates_examined++;
-    UserId uid = key.uid;
-    if ((wanted == nullptr || wanted->contains(uid)) &&
-        !found->contains(uid)) {
-      found->insert(uid);
-      ObjectRecord rec = cursor->value();
-      MovingObject obj;
-      obj.id = uid;
-      obj.pos = {rec.x, rec.y};
-      obj.vel = {rec.vx, rec.vy};
-      obj.tu = rec.tu;
-      out->push_back({uid, obj.PositionAt(tq), obj});
-      if (remaining != nullptr && --*remaining == 0) break;
-    }
-    PEB_RETURN_NOT_OK(cursor->Next());
+Status PebTree::ScanRun(ObjectBTree::LeafCursor* cursor, SvRun& run,
+                        uint32_t partition,
+                        const std::vector<CurveInterval>& intervals,
+                        Timestamp tq, std::unordered_set<UserId>* found,
+                        std::vector<SpatialCandidate>* out,
+                        QueryCounters* counters) const {
+  auto scan = [&](uint64_t zlo, uint64_t zhi) {
+    return tree_.Scan(
+        cursor, CompositeKey::Min(layout_.MakeKey(partition, run.qsv_lo, zlo)),
+        layout_.MakeKey(partition, run.qsv_hi, zhi), counters,
+        [&](const CompositeKey& key, const ObjectBTree::LeafCursor& at) {
+          if (!run.wanted.contains(key.uid) || !found->insert(key.uid).second) {
+            return true;
+          }
+          MovingObject state = MovingObjectTree::StateOf(key.uid, at.value());
+          out->push_back({key.uid, state.PositionAt(tq), state});
+          return --run.remaining != 0;
+        });
+  };
+  if (!run.per_interval) {
+    // Coalesced SV run: the rows are adjacent in key space, so ONE scan
+    // spanning the whole interval list replaces |intervals| probes per
+    // row. The scan walks each row's (sparse) full extent once —
+    // per-interval probing would re-read those same entries once per
+    // interval instead, since every probe [lo ⊕ ZVs, hi ⊕ ZVe] crosses all
+    // the rows in between.
+    return scan(intervals.front().lo, intervals.back().hi);
+  }
+  for (const CurveInterval& iv : intervals) {
+    PEB_RETURN_NOT_OK(scan(iv.lo, iv.hi));
+    if (run.remaining == 0) break;
   }
   return Status::OK();
-}
-
-Status PebTree::ScanSvRun(ObjectBTree::LeafCursor* cursor, uint32_t partition,
-                          uint32_t qsv_lo, uint32_t qsv_hi, uint64_t zlo,
-                          uint64_t zhi,
-                          const std::unordered_set<UserId>* wanted,
-                          std::unordered_set<UserId>* found,
-                          size_t* remaining,
-                          std::vector<SpatialCandidate>* out, Timestamp tq,
-                          QueryCounters* counters) const {
-  if (zlo > zhi) return Status::OK();
-  return ScanKeyRange(
-      cursor, CompositeKey::Min(layout_.MakeKey(partition, qsv_lo, zlo)),
-      layout_.MakeKey(partition, qsv_hi, zhi), wanted, found, remaining, out,
-      tq, counters);
 }
 
 // ---------------------------------------------------------------------------
@@ -357,21 +191,9 @@ Result<std::vector<UserId>> PebTree::RangeQueryAmong(
   QueryCounters local;
   QueryCounters* c = counters != nullptr ? counters : &local;
   *c = QueryCounters{};
-  switch (options_.prq_strategy) {
-    case PrqStrategy::kPerFriendIntervals: {
-      std::vector<SvRun> runs = BuildRuns(friends);
-      return RangeQueryPerFriend(issuer, range, tq, runs, shared, c);
-    }
-    case PrqStrategy::kSpanScan:
-      return RangeQuerySpan(issuer, range, tq, friends, shared, c);
-  }
-  return Status::Internal("unknown PRQ strategy");
-}
-
-Result<std::vector<UserId>> PebTree::RangeQueryPerFriend(
-    UserId issuer, const Rect& range, Timestamp tq, std::vector<SvRun>& runs,
-    SharedScanCache* shared, QueryCounters* counters) const {
   std::vector<UserId> results;
+  std::vector<SvRun> runs = BuildRuns(
+      friends, options_.prq_strategy == PrqStrategy::kSpanScan);
   if (runs.empty()) return results;
 
   std::unordered_set<UserId> found;
@@ -380,25 +202,22 @@ Result<std::vector<UserId>> PebTree::RangeQueryPerFriend(
 
   ObjectBTree::LeafCursor cursor = tree_.NewCursor();
 
-  for (const auto& [label, count] : label_counts_) {
-    Timestamp tlab = options_.index.partitions.LabelTimestamp(label);
-    uint32_t partition = options_.index.partitions.PartitionOf(label);
-    double d = options_.index.max_speed * std::abs(tq - tlab);
+  for (const LiveLabel& live : tree_.LiveLabels(tq)) {
     auto compute = [&]() {
-      return ZIntervalsForWindow(grid_, range.Expanded(d),
+      return ZIntervalsForWindow(tree_.grid(), range.Expanded(live.enlarge),
                                  options_.index.zrange);
     };
     // Cache hits share one immutable decomposition (no per-shard deep
     // copies); the uncached path computes into a local.
-    std::vector<CurveInterval> local;
+    std::vector<CurveInterval> local_intervals;
     SharedScanCache::IntervalsPtr cached;
     if (shared == nullptr) {
-      local = compute();
+      local_intervals = compute();
     } else {
-      cached = shared->PrqIntervals(label, compute);
+      cached = shared->PrqIntervals(live.label, compute);
     }
     const std::vector<CurveInterval>& intervals =
-        shared == nullptr ? local : *cached;
+        shared == nullptr ? local_intervals : *cached;
     if (intervals.empty()) continue;
 
     // Runs ascend by qsv and intervals by Z, and qsv sits above zv in the
@@ -408,27 +227,8 @@ Result<std::vector<UserId>> PebTree::RangeQueryPerFriend(
       // has been found (in any partition), its remaining ranges are dead.
       // `remaining` is maintained inside the scans, so this is O(1).
       if (run.remaining == 0) continue;
-      if (run.qsv_lo != run.qsv_hi) {
-        // Coalesced SV run: the rows are adjacent in key space, so ONE
-        // scan spanning the whole run replaces |intervals| probes per
-        // row. The scan walks each row's (sparse) full extent once —
-        // per-interval probing would re-read those same entries once per
-        // interval instead, since every probe [lo ⊕ ZVs, hi ⊕ ZVe]
-        // crosses all the rows in between.
-        PEB_RETURN_NOT_OK(ScanSvRun(&cursor, partition, run.qsv_lo,
-                                    run.qsv_hi, intervals.front().lo,
-                                    intervals.back().hi, &run.wanted, &found,
-                                    &run.remaining, &candidates, tq,
-                                    counters));
-        continue;
-      }
-      for (const CurveInterval& iv : intervals) {
-        PEB_RETURN_NOT_OK(ScanSvRun(&cursor, partition, run.qsv_lo,
-                                    run.qsv_hi, iv.lo, iv.hi, &run.wanted,
-                                    &found, &run.remaining, &candidates, tq,
-                                    counters));
-        if (run.remaining == 0) break;
-      }
+      PEB_RETURN_NOT_OK(ScanRun(&cursor, run, live.partition, intervals, tq,
+                                &found, &candidates, c));
     }
   }
 
@@ -438,69 +238,7 @@ Result<std::vector<UserId>> PebTree::RangeQueryPerFriend(
     }
   }
   std::sort(results.begin(), results.end());
-  counters->results = results.size();
-  return results;
-}
-
-Result<std::vector<UserId>> PebTree::RangeQuerySpan(
-    UserId issuer, const Rect& range, Timestamp tq,
-    const std::vector<FriendEntry>& friends, SharedScanCache* shared,
-    QueryCounters* counters) const {
-  std::vector<UserId> results;
-  if (friends.empty()) return results;
-
-  uint32_t sv_min = friends.front().qsv;  // Ascending (qsv, uid).
-  uint32_t sv_max = friends.back().qsv;
-  std::unordered_set<UserId> wanted;
-  for (const FriendEntry& f : friends) wanted.insert(f.uid);
-  size_t remaining = wanted.size();
-  std::unordered_set<UserId> found;
-  std::vector<SpatialCandidate> candidates;
-  candidates.reserve(wanted.size());
-
-  ObjectBTree::LeafCursor cursor = tree_.NewCursor();
-
-  for (const auto& [label, count] : label_counts_) {
-    Timestamp tlab = options_.index.partitions.LabelTimestamp(label);
-    uint32_t partition = options_.index.partitions.PartitionOf(label);
-    double d = options_.index.max_speed * std::abs(tq - tlab);
-    auto compute = [&]() {
-      return ZIntervalsForWindow(grid_, range.Expanded(d),
-                                 options_.index.zrange);
-    };
-    std::vector<CurveInterval> local;
-    SharedScanCache::IntervalsPtr cached;
-    if (shared == nullptr) {
-      local = compute();
-    } else {
-      cached = shared->PrqIntervals(label, compute);
-    }
-    const std::vector<CurveInterval>& intervals =
-        shared == nullptr ? local : *cached;
-
-    for (const CurveInterval& iv : intervals) {
-      // Figure 7 literally: StartPnt = TID ⊕ SVmin ⊕ ZVstart,
-      // EndPnt = TID ⊕ SVmax ⊕ ZVend — a single scan spanning every
-      // sequence value between the issuer's smallest and largest friend.
-      // Note the spans of consecutive intervals interleave in key space
-      // (each covers every SV between min and max), so the cursor mostly
-      // re-descends here; it still saves the within-span walk.
-      PEB_RETURN_NOT_OK(ScanKeyRange(
-          &cursor, CompositeKey::Min(layout_.MakeKey(partition, sv_min, iv.lo)),
-          layout_.MakeKey(partition, sv_max, iv.hi), &wanted, &found,
-          &remaining, &candidates, tq, counters));
-      if (remaining == 0) break;
-    }
-    if (remaining == 0) break;
-  }
-
-  for (const SpatialCandidate& cand : candidates) {
-    if (range.Contains(cand.pos) && Verify(issuer, cand, tq)) {
-      results.push_back(cand.uid);
-    }
-  }
-  std::sort(results.begin(), results.end());
-  counters->results = results.size();
+  c->results = results.size();
   return results;
 }
 
@@ -570,14 +308,7 @@ PebTree::KnnScan::KnnScan(const PebTree* tree, UserId issuer, Point qloc,
   while (RadiusForRound(max_rounds_ - 1) < space_diag) max_rounds_++;
 
   cursor_ = tree_->tree_.NewCursor();
-
-  // Snapshot the live labels (stable during the scan).
-  const auto& opts = tree_->options_.index;
-  for (const auto& [label, count] : tree_->label_counts_) {
-    Timestamp tlab = opts.partitions.LabelTimestamp(label);
-    labels_.push_back({label, opts.partitions.PartitionOf(label),
-                       opts.max_speed * std::abs(tq - tlab)});
-  }
+  labels_ = tree_->tree_.LiveLabels(tq);  // Stable during the scan.
   rings_.resize(labels_.size());
 }
 
@@ -610,9 +341,9 @@ const SharedScanCache::RingEntry& PebTree::KnnScan::RingFor(size_t li,
       static const std::vector<CurveInterval> kNone;
       const std::vector<CurveInterval>& covered_in =
           round == 0 ? kNone : *memo[round - 1].covered;
-      RingDecomposition rd =
-          ZRingForWindow(tree_->grid_, rect.Expanded(labels_[li].enlarge),
-                         covered_in, tree_->options_.index.zrange);
+      RingDecomposition rd = ZRingForWindow(
+          tree_->tree_.grid(), rect.Expanded(labels_[li].enlarge), covered_in,
+          tree_->options_.index.zrange);
       SharedScanCache::RingEntry entry;
       entry.ring = std::make_shared<const std::vector<CurveInterval>>(
           std::move(rd.ring));
@@ -638,6 +369,7 @@ void PebTree::KnnScan::InsertVerified(std::vector<Neighbor>* verified) {
       verified->insert(pos, nb);
     }
   }
+  batch_.clear();
 }
 
 Status PebTree::KnnScan::ScanCell(size_t i, size_t j,
@@ -651,38 +383,13 @@ Status PebTree::KnnScan::ScanCell(size_t i, size_t j,
     // later round never re-fetches leaves an earlier round examined.
     const SharedScanCache::RingEntry& ring = RingFor(li, j);
     if (ring.ring->empty()) continue;
-    PEB_RETURN_NOT_OK(ScanRunIntervals(run, labels_[li].partition, *ring.ring,
-                                       verified));
+    PEB_RETURN_NOT_OK(tree_->ScanRun(&cursor_, run, labels_[li].partition,
+                                     *ring.ring, tq_, &found_, &batch_,
+                                     &counters_));
+    InsertVerified(verified);
     if (run.remaining == 0) break;
   }
   run.rounds_done = std::max(run.rounds_done, j + 1);
-  return Status::OK();
-}
-
-Status PebTree::KnnScan::ScanRunIntervals(
-    SvRun& run, uint32_t partition,
-    const std::vector<CurveInterval>& intervals,
-    std::vector<Neighbor>* verified) {
-  batch_.clear();
-  if (run.qsv_lo != run.qsv_hi) {
-    // Coalesced SV run: one scan bounding every interval replaces a probe
-    // per (row, interval) — per-interval probing would re-read the run's
-    // sparse row extents once per interval.
-    PEB_RETURN_NOT_OK(tree_->ScanSvRun(&cursor_, partition, run.qsv_lo,
-                                       run.qsv_hi, intervals.front().lo,
-                                       intervals.back().hi, &run.wanted,
-                                       &found_, &run.remaining, &batch_, tq_,
-                                       &counters_));
-  } else {
-    for (const CurveInterval& iv : intervals) {
-      PEB_RETURN_NOT_OK(tree_->ScanSvRun(&cursor_, partition, run.qsv_lo,
-                                         run.qsv_hi, iv.lo, iv.hi,
-                                         &run.wanted, &found_, &run.remaining,
-                                         &batch_, tq_, &counters_));
-      if (run.remaining == 0) break;
-    }
-  }
-  InsertVerified(verified);
   return Status::OK();
 }
 
@@ -706,7 +413,7 @@ Status PebTree::KnnScan::VerticalScan(double dk,
     // covered during its enlargement rounds — usually nothing, since dk is
     // bounded by the last scanned radius.
     auto compute = [&]() -> std::vector<CurveInterval> {
-      return ZIntervalsForWindow(tree_->grid_,
+      return ZIntervalsForWindow(tree_->tree_.grid(),
                                  rect.Expanded(labels_[li].enlarge),
                                  tree_->options_.index.zrange);
     };
@@ -726,8 +433,10 @@ Status PebTree::KnnScan::VerticalScan(double dk,
         delta = &local;
       }
       if (delta->empty()) continue;
-      PEB_RETURN_NOT_OK(
-          ScanRunIntervals(run, labels_[li].partition, *delta, verified));
+      PEB_RETURN_NOT_OK(tree_->ScanRun(&cursor_, run, labels_[li].partition,
+                                       *delta, tq_, &found_, &batch_,
+                                       &counters_));
+      InsertVerified(verified);
     }
   }
   return Status::OK();

@@ -1,14 +1,17 @@
 // The PEB-tree (Policy-Embedded Bx-tree) — the paper's contribution
-// (Section 5). A B+-tree over PEB keys (peb_key.h) that clusters users by
-// policy compatibility first and spatial proximity second, with query
-// algorithms that search the cross product of the issuer's friend SV values
-// and the query window's Z intervals:
+// (Section 5). The Bx-tree's MovingObjectTree keyed by PEB keys (Eq. 5,
+// peb_key.h) instead of Bx values (Eq. 1): the sequence value inside the
+// key clusters users by policy compatibility first and spatial proximity
+// second. This class adds only that key and the query algorithms, which
+// search the cross product of the issuer's friend SV values and the query
+// window's Z intervals:
 //
 //  * PRQ (Section 5.3 / Figure 7): per time partition, the enlarged window
 //    is decomposed into Z intervals; for each friend sequence value, the
 //    key ranges [TID ⊕ SV ⊕ ZVs, TID ⊕ SV ⊕ ZVe] are scanned. Once a
 //    user's record is located, the remaining intervals for that SV are
-//    skipped (a user has one location).
+//    skipped (a user has one location). Both PRQ strategies and the PkNN
+//    cells probe through one SV-run scan (ScanRun).
 //  * PkNN (Section 5.4 / Figures 8-10): iterative range enlargement; the
 //    (friend x round) search matrix is traversed in triangular
 //    (anti-diagonal) order; each round searches only the ring new to that
@@ -24,6 +27,11 @@
 // a cumulative bounding span; and adjacent quantized-SV friend rows
 // coalesce into single SV-run scans. Answers are checked against the
 // Definition 3 brute-force oracle in the tests.
+//
+// Every query is const and counts its work into a caller-owned slot
+// (QueryStats, QueryCounters or a KnnScan's own), so any number of queries
+// may run on one tree at once; mutations (Insert/Update/Delete,
+// AdoptSnapshot, AttachExisting) exclude them.
 #pragma once
 
 #include <cstdint>
@@ -33,17 +41,13 @@
 #include <unordered_set>
 #include <vector>
 
-#include "btree/btree.h"
-#include "btree/btree_traits.h"
-#include "bxtree/bx_key.h"
+#include "bxtree/moving_object_tree.h"
 #include "bxtree/privacy_index.h"
-#include "bxtree/bxtree.h"
 #include "common/thread_annotations.h"
 #include "peb/peb_key.h"
 #include "policy/policy_store.h"
 #include "policy/role_registry.h"
 #include "policy/sequence_value.h"
-#include "spatial/zcurve.h"
 #include "spatial/zrange.h"
 #include "storage/buffer_pool.h"
 
@@ -55,12 +59,14 @@ enum class PrqStrategy {
   /// per-user skip rule. The default.
   kPerFriendIntervals,
   /// Figure 7 taken literally: one scan from SVmin ⊕ ZVs to SVmax ⊕ ZVe
-  /// per Z interval. Reads every user between the two sequence values;
-  /// kept as an ablation variant.
+  /// per Z interval — a single SV run holding every friend. Reads every
+  /// user between the two sequence values; kept as an ablation variant.
   kSpanScan,
 };
 
-/// PkNN search-matrix traversal order.
+/// PkNN search-matrix traversal order of the single tree
+/// (PebTree::KnnQueryAmong); the sharded engine always sweeps by
+/// anti-diagonal.
 enum class KnnOrder {
   kTriangular,   ///< Figure 9 anti-diagonal sweep. The default.
   kColumnMajor,  ///< Spatial-first: whole column (round) at a time.
@@ -188,6 +194,9 @@ class PebTree final : public PrivacyAwareIndex {
   struct SvRun {
     uint32_t qsv_lo = 0;
     uint32_t qsv_hi = 0;
+    /// One probe per Z interval instead of one spanning them all: a
+    /// single-row run, and the Figure-7 span of PrqStrategy::kSpanScan.
+    bool per_interval = false;
     std::unordered_set<UserId> wanted;
     size_t remaining = 0;
     /// Contiguously completed PkNN enlargement rounds (the final vertical
@@ -202,11 +211,11 @@ class PebTree final : public PrivacyAwareIndex {
 
   Status Insert(const MovingObject& object) override;
   Status Update(const MovingObject& object) override;
-  Status Delete(UserId id) override;
-  size_t size() const override { return objects_.size(); }
-  BufferPool* pool() override { return pool_; }
-  IoStats aggregate_io() const override { return pool_->stats(); }
-  void ResetIo() override { pool_->ResetStats(); }
+  Status Delete(UserId id) override { return tree_.Delete(id); }
+  size_t size() const override { return tree_.size(); }
+  BufferPool* pool() override { return tree_.pool(); }
+  IoStats aggregate_io() const override { return tree_.pool()->stats(); }
+  void ResetIo() override { tree_.pool()->ResetStats(); }
 
   /// Swaps in a new encoding snapshot and re-keys the named users (nullptr
   /// = diff all hosted records). Mutation: callers serialize against
@@ -231,12 +240,10 @@ class PebTree final : public PrivacyAwareIndex {
   /// PRQ restricted to an explicit candidate list (a subset of the issuer's
   /// friends, ascending by (qsv, uid)). This is the const read path the
   /// sharded engine fans out across shards: each shard is asked only about
-  /// the friends it hosts. Only the buffer pool's LRU state changes, so
-  /// distinct trees may be queried from distinct threads concurrently —
-  /// and, with `counters` supplied, the SAME tree too: all work accounting
-  /// goes into the caller's scan-local slot, never the tree's shared
-  /// last_query() member. `shared`, when given, deduplicates the window
-  /// decomposition across the shards of one fanned-out query.
+  /// the friends it hosts. Only the buffer pool's LRU state changes, and
+  /// the work is counted into `counters` when given. `shared`, when given,
+  /// deduplicates the window decomposition across the shards of one
+  /// fanned-out query.
   Result<std::vector<UserId>> RangeQueryAmong(
       UserId issuer, const Rect& range, Timestamp tq,
       const std::vector<FriendEntry>& friends,
@@ -261,9 +268,8 @@ class PebTree final : public PrivacyAwareIndex {
     size_t num_rows() const { return runs_.size(); }
     size_t max_rounds() const { return max_rounds_; }
     /// Work counters accumulated by this scan's own cells. Each scan owns
-    /// its counters (they never pass through the tree's shared last_query()
-    /// slot), so concurrent fanned-out queries on the same shard tree stay
-    /// exact. Read after the last Scan* call.
+    /// its counters, so concurrent fanned-out queries on the same shard
+    /// tree stay exact. Read after the last Scan* call.
     const QueryCounters& counters() const { return counters_; }
     /// Anti-diagonals in this shard's (runs x rounds) matrix.
     size_t max_diagonals() const {
@@ -311,12 +317,6 @@ class PebTree final : public PrivacyAwareIndex {
    private:
     friend class PebTree;
 
-    struct LabelInfo {
-      int64_t label;
-      uint32_t partition;
-      double enlarge;
-    };
-
     KnnScan(const PebTree* tree, UserId issuer, Point qloc, Timestamp tq,
             double rq, const std::vector<FriendEntry>& friends,
             SharedScanCache* shared);
@@ -324,12 +324,8 @@ class PebTree final : public PrivacyAwareIndex {
     /// Exact annulus delta for (label li, round j), memoized per label and
     /// deduplicated across shards via the shared cache.
     const SharedScanCache::RingEntry& RingFor(size_t li, size_t j);
-    /// Scans `intervals` (ascending, non-empty) of one partition for run
-    /// `run` — one SV-run scan when the run coalesces several rows, else
-    /// one probe per interval — and verifies the located candidates.
-    Status ScanRunIntervals(SvRun& run, uint32_t partition,
-                            const std::vector<CurveInterval>& intervals,
-                            std::vector<Neighbor>* verified);
+    /// Verifies the candidates PebTree::ScanRun collected into batch_ into
+    /// `verified` (ascending distance), emptying batch_.
     void InsertVerified(std::vector<Neighbor>* verified);
 
     const PebTree* tree_;
@@ -342,7 +338,7 @@ class PebTree final : public PrivacyAwareIndex {
     std::vector<SvRun> runs_;
     size_t total_wanted_ = 0;
     size_t max_rounds_ = 1;
-    std::vector<LabelInfo> labels_;
+    std::vector<LiveLabel> labels_;
     /// Exact annulus deltas per (label, round).
     std::vector<std::vector<SharedScanCache::RingEntry>> rings_;
     std::unordered_set<UserId> found_;
@@ -356,7 +352,7 @@ class PebTree final : public PrivacyAwareIndex {
   /// Starts a PkNN scan. `rq` is the cost-model-seeded round-0 radius; the
   /// engine derives it from GLOBAL workload state (KnnSeedRadiusFor) so
   /// all shards enlarge identically. The scan accumulates work counters of
-  /// its own (KnnScan::counters()); the tree's last_query() is not touched.
+  /// its own (KnnScan::counters()).
   KnnScan NewKnnScan(UserId issuer, const Point& qloc, Timestamp tq,
                      double rq, const std::vector<FriendEntry>& friends,
                      SharedScanCache* shared = nullptr) const;
@@ -372,7 +368,9 @@ class PebTree final : public PrivacyAwareIndex {
   uint64_t KeyFor(const MovingObject& object) const;
 
   /// Current stored state of a user.
-  Result<MovingObject> GetObject(UserId id) const override;
+  Result<MovingObject> GetObject(UserId id) const override {
+    return tree_.Get(id);
+  }
 
   /// Snapshot of the out-of-page state needed to reopen this index later.
   /// Flush the buffer pool before persisting the manifest.
@@ -382,101 +380,63 @@ class PebTree final : public PrivacyAwareIndex {
 
   /// Reopens a persisted index: attaches to the pages already on the
   /// pool's disk (validating structure) and rebuilds the in-memory object
-  /// table and partition counts by scanning the leaves. The tree handle
-  /// must be freshly constructed (empty).
-  Status AttachExisting(const PebTreeManifest& manifest);
+  /// table and partition counts by scanning the leaves
+  /// (MovingObjectTree::Attach). The tree must be freshly constructed.
+  Status AttachExisting(const PebTreeManifest& manifest) {
+    return tree_.Attach(manifest.root, manifest.stats);
+  }
 
   /// Visits every hosted user's current state (read path; callers
   /// serialize against mutations exactly as for queries).
   void ForEachObject(
       const std::function<void(UserId, const MovingObject&)>& fn) const {
-    for (const auto& [uid, stored] : objects_) fn(uid, stored.state);
+    tree_.ForEach([&](UserId uid, const MovingObject& state, uint64_t) {
+      fn(uid, state);
+    });
   }
 
-  /// Definition 2's verification predicate, shared between the tree's scan
-  /// paths (Verify) and the sharded engine's delta overlay: a candidate
-  /// located OUTSIDE the tree (in a shard's ingestion delta) must pass
-  /// exactly the check a tree-scanned candidate passes, or answers would
-  /// depend on whether a user's latest state has been merged yet. `pos` is
-  /// the candidate's position extrapolated to `tq`.
-  static bool VerifyAgainst(const PolicyStore& store, const RoleRegistry& roles,
-                            double time_domain, UserId issuer, UserId uid,
-                            const Point& pos, Timestamp tq);
-
-  /// Deep structural self-check: the underlying B+-tree's full walk
-  /// (BTree::Validate — key order, separator bounds, occupancy, leaf
-  /// chain), entry count agreement between tree and object table, every
-  /// stored composite key re-derivable from the object's state under the
-  /// PINNED encoding snapshot (partition from the label timestamp, Z value
-  /// from the projected position, quantized SV from the snapshot — Eq. 5),
-  /// each entry present in the tree with a payload matching the table, and
-  /// the per-label population histogram exact. Returns Corruption naming
-  /// the first violated invariant. Read path: serialize like a query.
+  /// MovingObjectTree::Validate under the PEB key of the PINNED encoding
+  /// snapshot (partition from the label timestamp, Z value from the
+  /// projected position, quantized SV from the snapshot — Eq. 5), so a
+  /// missed re-key after snapshot adoption is Corruption. Read path:
+  /// serialize like a query.
   Status ValidateInvariants() const;
 
  private:
-  struct StoredObject {
-    MovingObject state;
-    int64_t label_index = 0;
-    uint64_t key = 0;
-  };
-
   /// Groups a friend list (ascending by (qsv, uid)) into SV runs: rows
   /// whose quantized SVs differ by at most kQsvRunGap coalesce into one
-  /// run.
-  static std::vector<SvRun> BuildRuns(const std::vector<FriendEntry>& friends);
+  /// run. `span` makes one per-interval run holding every friend (the
+  /// Figure-7 span, PrqStrategy::kSpanScan).
+  static std::vector<SvRun> BuildRuns(const std::vector<FriendEntry>& friends,
+                                      bool span = false);
 
-  /// Scans composite keys [start, end_primary]. For every entry whose uid
-  /// is in `wanted`, marks it found, appends its state, and decrements
-  /// `*remaining` (when given) — stopping the scan the moment it hits
-  /// zero, since no further wanted user can appear. `cursor` carries the
-  /// position across the sorted probes of one query, so a probe landing in
-  /// the current or a resident sibling leaf skips the root descent. Work is
-  /// accounted into `counters` (the
-  /// caller's QueryStats slot for whole-query entry points, a KnnScan's own
-  /// for fanned-out scans — never shared between concurrent queries).
-  Status ScanKeyRange(ObjectBTree::LeafCursor* cursor, CompositeKey start,
-                      uint64_t end_primary,
-                      const std::unordered_set<UserId>* wanted,
-                      std::unordered_set<UserId>* found, size_t* remaining,
-                      std::vector<SpatialCandidate>* out, Timestamp tq,
-                      QueryCounters* counters) const;
+  /// Probes run `run` over `intervals` (ascending, non-empty) of one
+  /// partition: one key range [qsv_lo ⊕ ZVs, qsv_hi ⊕ ZVe] per interval
+  /// when run.per_interval, else ONE spanning all of them. Every wanted,
+  /// not yet found user is marked found, appended to `out` with its state
+  /// extrapolated to `tq`, and counted off run.remaining; the probes stop
+  /// the moment it reaches zero, since no further wanted user can appear.
+  Status ScanRun(ObjectBTree::LeafCursor* cursor, SvRun& run,
+                 uint32_t partition,
+                 const std::vector<CurveInterval>& intervals, Timestamp tq,
+                 std::unordered_set<UserId>* found,
+                 std::vector<SpatialCandidate>* out,
+                 QueryCounters* counters) const;
 
-  /// ScanKeyRange over the PEB keys [MakeKey(p, qsv_lo, zlo),
-  /// MakeKey(p, qsv_hi, zhi)] of one partition's SV run — ONE probe for
-  /// the whole run of consecutive sequence values.
-  Status ScanSvRun(ObjectBTree::LeafCursor* cursor, uint32_t partition,
-                   uint32_t qsv_lo, uint32_t qsv_hi, uint64_t zlo,
-                   uint64_t zhi, const std::unordered_set<UserId>* wanted,
-                   std::unordered_set<UserId>* found, size_t* remaining,
-                   std::vector<SpatialCandidate>* out, Timestamp tq,
-                   QueryCounters* counters) const;
+  /// Verification: Definition 2's policy conditions (PolicyStore::Qualifies).
+  bool Verify(UserId issuer, const SpatialCandidate& cand, Timestamp tq) const {
+    return store_->Qualifies(cand.uid, issuer, cand.pos, tq, *roles_,
+                             options_.time_domain);
+  }
 
-  /// Verification: Definition 2's policy conditions.
-  bool Verify(UserId issuer, const SpatialCandidate& cand, Timestamp tq) const;
-
-  Result<std::vector<UserId>> RangeQueryPerFriend(
-      UserId issuer, const Rect& range, Timestamp tq,
-      std::vector<SvRun>& runs, SharedScanCache* shared,
-      QueryCounters* counters) const;
-  Result<std::vector<UserId>> RangeQuerySpan(
-      UserId issuer, const Rect& range, Timestamp tq,
-      const std::vector<FriendEntry>& friends, SharedScanCache* shared,
-      QueryCounters* counters) const;
-
-  BufferPool* pool_;
   PebTreeOptions options_;
   PebKeyLayout layout_;
-  GridMapper grid_;
-  BTree<ObjectTreeTraits> tree_;
+  MovingObjectTree tree_;
   const PolicyStore* store_;
   const RoleRegistry* roles_;
   /// The encoding epoch this tree's keys are consistent with. Swapped only
   /// by AdoptSnapshot (serialized against queries by the caller).
   std::shared_ptr<const EncodingSnapshot> snapshot_;
-
-  std::unordered_map<UserId, StoredObject> objects_;
-  std::unordered_map<int64_t, size_t> label_counts_;
 };
 
 }  // namespace peb

@@ -52,6 +52,17 @@ class PolicyStore {
               const RoleRegistry& roles,
               double time_domain = kDefaultTimeDomain) const;
 
+  /// Definition 2's verification predicate: user `uid`, at position `pos`
+  /// at time `t`, belongs in `issuer`'s answer when it is not the issuer
+  /// and its policies allow the issuer to see it there and then. Every
+  /// query path decides with this one function — the PEB-tree's scans, the
+  /// sharded engine's delta overlay, the filtering baseline and standing
+  /// queries — so no answer depends on which path located the user.
+  bool Qualifies(UserId uid, UserId issuer, const Point& pos, double t,
+                 const RoleRegistry& roles, double time_domain) const {
+    return uid != issuer && Allows(uid, issuer, pos, t, roles, time_domain);
+  }
+
  private:
   /// Guarded 64-bit packing of the (owner, peer) pair (common/types.h).
   static uint64_t PairKey(UserId owner, UserId peer) {

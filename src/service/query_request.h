@@ -7,8 +7,7 @@
 // buffer-pool traffic delta, and the policy-encoding epoch it executed
 // against — BY VALUE. Nothing about a finished query lives in shared
 // mutable index state, which is what lets the service fan thousands of
-// requests out concurrently (MOIST-style batched front-ends) without the
-// racy last_query()/ResetIo() observer pattern the single-call API needed.
+// requests out concurrently (MOIST-style batched front-ends).
 #pragma once
 
 #include <cstdint>

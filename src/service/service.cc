@@ -229,11 +229,9 @@ QueryResponse MovingObjectService::DoRange(const QueryRequest& request) {
     stats.trace_span = root;
   }
 
-  // Thread-safe indexes (the engine) run queries genuinely in parallel;
-  // single-tree indexes are serialized so Submit stays safe over them.
+  // Queries share the index; single-tree mutations take it exclusive.
   Result<std::vector<UserId>> result = [&] {
-    SharedOrExclusiveLock lock(&index_mu_,
-                               !index_->SupportsConcurrentQueries());
+    ReaderMutexLock lock(&index_mu_);
     return index_->RangeQueryWithStats(request.issuer, request.range,
                                        request.tq, &stats);
   }();
@@ -269,8 +267,7 @@ QueryResponse MovingObjectService::DoKnn(const QueryRequest& request) {
   }
 
   Result<std::vector<Neighbor>> result = [&] {
-    SharedOrExclusiveLock lock(&index_mu_,
-                               !index_->SupportsConcurrentQueries());
+    ReaderMutexLock lock(&index_mu_);
     return index_->KnnQueryWithStats(request.issuer, request.qloc, request.k,
                                      request.tq, &stats);
   }();
@@ -299,13 +296,11 @@ QueryResponse MovingObjectService::DoContinuousRegister(
   QueryStats stats;  // Always gathered: see DoRange.
 
   // Lock order: continuous state first, then the index (the seeding PRQ).
-  // A concurrency-capable index (the engine) needs only the shared lock —
-  // its own state lock orders the seed against updates and continuous_mu_
-  // orders it against monitor feeds — so registration never stalls the
+  // The seed is a query, so the shared lock suffices — continuous_mu_
+  // orders it against monitor feeds — and registration never stalls the
   // concurrent query plane.
   MutexLock continuous_lock(&continuous_mu_);
-  SharedOrExclusiveLock index_lock(&index_mu_,
-                                   !index_->SupportsConcurrentQueries());
+  ReaderMutexLock index_lock(&index_mu_);
   Result<ContinuousQueryId> id = monitor_->Register(
       request.issuer, request.range, request.tq, &stats);
   if (!id.ok()) {
@@ -341,9 +336,8 @@ Status MovingObjectService::MutateExclusive(
     const std::function<Status()>& fn) {
   // The live PolicyStore/RoleRegistry are read by query verification, so a
   // mutation must exclude queries: through the engine's state lock when
-  // fronting an engine (its queries never take index_mu_ exclusively),
-  // else through the service's own index lock (single-tree queries hold it
-  // unique already, so unique here excludes them).
+  // fronting an engine, else through the service's own index lock (every
+  // query holds it shared, so exclusive here excludes them).
   if (engine_ != nullptr) return engine_->RunExclusive(fn);
   WriterMutexLock lock(&index_mu_);
   return fn();
@@ -362,8 +356,8 @@ Status MovingObjectService::ReencodeAndAdopt(Timestamp now,
   // state), then surface the original error — a later re-encode of the
   // now-clean catalog would carry an empty re-key list and never repair.
   auto adopt = [&](const std::vector<UserId>* rekey) {
-    if (index_->SupportsConcurrentQueries()) {
-      return index_->AdoptSnapshot(result.snapshot, rekey);
+    if (engine_ != nullptr) {
+      return engine_->AdoptSnapshot(result.snapshot, rekey);
     }
     WriterMutexLock lock(&index_mu_);
     return index_->AdoptSnapshot(result.snapshot, rekey);
@@ -377,8 +371,7 @@ Status MovingObjectService::ReencodeAndAdopt(Timestamp now,
   // as AdvanceContinuous (the caller already holds continuous_mu_): the
   // monitor re-reads object states through the index.
   {
-    SharedOrExclusiveLock index_lock(&index_mu_,
-                                     !index_->SupportsConcurrentQueries());
+    ReaderMutexLock index_lock(&index_mu_);
     PEB_RETURN_NOT_OK(monitor_->AdoptSnapshot(result.snapshot, now));
   }
   telemetry::Inc(reencode_rekeys_, result.rekeyed.size());
@@ -541,11 +534,10 @@ std::vector<ContinuousQueryEvent> MovingObjectService::TakeContinuousEvents() {
 }
 
 Status MovingObjectService::AdvanceContinuous(Timestamp now) {
-  // Same locking shape as registration: shared index access suffices for
-  // a concurrency-capable index (Advance only reads via GetObject).
+  // Same locking shape as registration: shared index access suffices
+  // (Advance only reads via GetObject).
   MutexLock continuous_lock(&continuous_mu_);
-  SharedOrExclusiveLock index_lock(&index_mu_,
-                                   !index_->SupportsConcurrentQueries());
+  ReaderMutexLock index_lock(&index_mu_);
   return monitor_->Advance(now);
 }
 

@@ -27,14 +27,15 @@
 //    one request. Every response names the epoch it executed against.
 //
 // Every response carries its own counters and exact per-query IoStats
-// delta by value (see query_request.h); the service never reads
-// last_query() or diffs global pool stats.
+// delta by value (see query_request.h); the service never diffs global
+// pool stats.
 //
-// Thread-safety: thread-safe. Queries against an index that supports
-// concurrent queries (the sharded engine) run genuinely in parallel;
-// single-tree indexes are serialized internally, so Submit is safe — just
-// not parallel — over a bare PebTree or FilteringIndex. Updates and
-// continuous-query maintenance are exclusive.
+// Thread-safety: thread-safe. Queries run genuinely in parallel over every
+// index — the sharded engine, a bare PebTree or a FilteringIndex — since no
+// index's read path writes shared state. Single-tree mutations (updates,
+// policy mutations, re-key adoption) exclude queries through the service's
+// index lock; the engine orders its own. Continuous-query maintenance is
+// serialized.
 #pragma once
 
 #include <array>
@@ -94,8 +95,7 @@ class MovingObjectService {
   // --- queries --------------------------------------------------------------
 
   /// Executes `request` synchronously and returns its self-contained
-  /// response. Never blocks on other queries when the index supports
-  /// concurrent queries.
+  /// response. Never blocks on other queries.
   QueryResponse Execute(const QueryRequest& request);
 
   /// Enqueues `request` on the service worker pool; the future resolves to
@@ -210,7 +210,7 @@ class MovingObjectService {
 
   /// Runs a live policy-state mutation atomically with respect to queries:
   /// through the engine's exclusive state lock when fronting an engine,
-  /// else under the service's own unique index lock.
+  /// else under the service's own index lock, held exclusive.
   Status MutateExclusive(const std::function<Status()>& fn);
 
   /// Re-encodes the catalog's dirty-set, adopts the snapshot on the index
@@ -239,16 +239,17 @@ class MovingObjectService {
   void FinishRequest(const QueryRequest& request, const QueryResponse& response);
 
   PrivacyAwareIndex* index_;
-  /// Set when `index_` is a ShardedPebEngine: enables the engine batch
-  /// update path and lock-free (shared) query execution.
+  /// Set when `index_` is a ShardedPebEngine: its mutations order
+  /// themselves against queries, so they skip index_mu_ (the engine batch
+  /// update path, RunExclusive, AdoptSnapshot).
   engine::ShardedPebEngine* engine_;
   /// The live policy state this service mutates and verifies against.
   PolicyCatalog* catalog_;
   ServiceOptions options_;
 
-  /// Query/update coordination for indexes without internal thread-safety:
-  /// queries shared when the index supports concurrency (engine) else
-  /// unique; updates always unique. Lock order: continuous_mu_ first.
+  /// Query/mutation coordination: every query holds it shared; mutations
+  /// of an index without internal locking (a single tree) hold it
+  /// exclusive. Lock order: continuous_mu_ first.
   mutable SharedMutex index_mu_ ACQUIRED_AFTER(continuous_mu_);
 
   /// Continuous-query state (the monitor is single-threaded by contract;

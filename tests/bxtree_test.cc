@@ -294,6 +294,8 @@ TEST(BxTreeChurn, UpdatesPreserveQueryCorrectness) {
       ds.objects[ev.state.id] = ev.state;
       now = std::max(now, ev.t);
     }
+    Status deep = tree.ValidateInvariants();
+    ASSERT_TRUE(deep.ok()) << "round " << round << ": " << deep.ToString();
     Rect range = Rect::CenteredSquare(
         {rng.Uniform(100, 900), rng.Uniform(100, 900)}, 250);
     auto res = tree.RangeQuery(range, now);

@@ -270,9 +270,9 @@ class CrashRecoveryTest : public ::testing::Test {
   /// What recovery is contractually bound to: the number of batches whose
   /// kEvents record survives in the log's complete prefix. Equals the
   /// committed count when the crash hit the batch's own append, committed+1
-  /// when it hit something after the sync (an advisory merge marker, or the
-  /// sync's EIO after a successful append) — an errored ApplyBatch promises
-  /// only atomicity, so the oracle must be read off the durable log itself.
+  /// when it hit the sync (EIO after a successful append) — an errored
+  /// ApplyBatch promises only atomicity, so the oracle must be read off the
+  /// durable log itself.
   size_t DurableBatches(size_t committed) const {
     auto records = WriteAheadLog::ReadAll(path_ + ".wal");
     EXPECT_TRUE(records.ok()) << records.status();
@@ -472,8 +472,7 @@ TEST_F(CrashRecoveryTest, TornFinalWalRecordDropsOnlyLastBatch) {
   }  // No close checkpoint: the four batches live only in the WAL.
   // Tear the last batch's record by truncating the file mid-frame — the
   // classic power cut after a partial write that beat the sync. Walk the
-  // frames to find where that record starts (advisory merge markers may
-  // trail it; those are cut along with it).
+  // frames to find where that record starts.
   const std::string wal_path = path_ + ".wal";
   auto records = WriteAheadLog::ReadAll(wal_path);
   ASSERT_TRUE(records.ok());
@@ -489,6 +488,61 @@ TEST_F(CrashRecoveryTest, TornFinalWalRecordDropsOnlyLastBatch) {
   // Batch 3's record is torn -> dropped whole; batches 0-2 replay intact.
   auto oracle = BuildOracle(3);
   ExpectEquivalent(**reopened, *oracle, QueryTime(3));
+}
+
+// Logs written before the advisory delta-merge marker was retired carry
+// type-2 records between their kEvents records. The marker never changed
+// what recovery produces (Open() re-checkpoints any non-empty log, merging
+// every delta), so replay skips it and such a log reopens to exactly the
+// state its kEvents records describe.
+TEST_F(CrashRecoveryTest, RetiredMergeMarkersAreSkippedOnReplay) {
+  {
+    auto engine = std::make_unique<ShardedPebEngine>(
+        DurableOptions(nullptr, /*checkpoint_on_close=*/false),
+        &world_->store(), &world_->roles(), world_->catalog()->snapshot());
+    ASSERT_TRUE(engine->LoadDataset(world_->dataset()).ok());
+    for (size_t b = 0; b < 4; ++b) {
+      ASSERT_TRUE(engine->ApplyBatch((*batches_)[b]).ok());
+    }
+  }  // No close checkpoint: the four batches live only in the WAL.
+  // Rewrite the log with a marker after every kEvents record but the last,
+  // renumbering so sequence numbers stay increasing, as the writer of such
+  // a log stamped them.
+  const std::string wal_path = path_ + ".wal";
+  auto records = WriteAheadLog::ReadAll(wal_path);
+  ASSERT_TRUE(records.ok());
+  size_t events = 0;
+  for (const auto& rec : *records) {
+    if (rec.type == engine_wal::kEvents) ++events;
+  }
+  ASSERT_EQ(events, 4u);
+  std::filesystem::remove(wal_path);
+  {
+    auto wal = WriteAheadLog::Open(wal_path);
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    uint64_t shift = 0;
+    size_t seen = 0;
+    for (WalRecord rec : *records) {
+      rec.seq += shift;
+      ASSERT_TRUE((*wal)->Append(rec).ok());
+      if (rec.type == engine_wal::kEvents && ++seen < events) {
+        WalRecord marker;
+        marker.seq = rec.seq + 1;
+        marker.type = engine_wal::kMerge;
+        ASSERT_TRUE((*wal)->Append(marker).ok());
+        ++shift;
+      }
+    }
+    ASSERT_TRUE((*wal)->Sync().ok());
+  }
+  auto rewritten = WriteAheadLog::ReadAll(wal_path);
+  ASSERT_TRUE(rewritten.ok());
+  ASSERT_EQ(rewritten->size(), records->size() + events - 1);
+
+  auto reopened = Reopen();
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  auto oracle = BuildOracle(4);
+  ExpectEquivalent(**reopened, *oracle, QueryTime(4));
 }
 
 TEST_F(CrashRecoveryTest, ParanoidChecksReopen) {

@@ -428,6 +428,62 @@ TEST(NegativeValidation, DetectsCorruptedLeafChain) {
   EXPECT_TRUE(tree.ValidateInvariants().ok());
 }
 
+TEST(NegativeValidation, DetectsMissedRekey) {
+  eval::WorkloadParams p;
+  p.num_users = 300;
+  p.policies_per_user = 8;
+  p.grouping_factor = 0.6;
+  p.grid_bits = 8;
+  p.seed = 83;
+  eval::Workload w = eval::Workload::Build(p);
+  PebTree& tree = w.peb();
+  ASSERT_TRUE(tree.ValidateInvariants().ok());
+
+  // Open policies between random pairs until a re-encode moves some hosted
+  // user's quantized SV.
+  const RoleId role = w.catalog()->DefineRole("rekey");
+  Rng rng(84);
+  std::shared_ptr<const EncodingSnapshot> before = tree.snapshot();
+  ReencodeResult re;
+  UserId moved = kInvalidUserId;
+  for (int attempt = 0; attempt < 20 && moved == kInvalidUserId; ++attempt) {
+    const auto owner = static_cast<UserId>(rng.NextBelow(p.num_users));
+    const auto peer = static_cast<UserId>(rng.NextBelow(p.num_users));
+    if (owner == peer) continue;
+    ASSERT_TRUE(
+        w.catalog()->AddPolicy(owner, peer, EverywherePolicy(role)).ok());
+    auto result = w.catalog()->Reencode();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    re = *result;
+    for (UserId uid : re.rekeyed) {
+      if (re.snapshot->quantized_sv(uid) != before->quantized_sv(uid)) {
+        moved = uid;
+        break;
+      }
+    }
+    if (moved == kInvalidUserId) {
+      ASSERT_TRUE(tree.AdoptSnapshot(re.snapshot, &re.rekeyed).ok());
+      before = re.snapshot;
+    }
+  }
+  ASSERT_NE(moved, kInvalidUserId) << "no re-encode moved a quantized SV";
+
+  // Adopt with a re-key list that omits the moved user: it stays filed
+  // under its old key, which only the key re-derivation check can see.
+  std::vector<UserId> partial;
+  for (UserId uid : re.rekeyed) {
+    if (uid != moved) partial.push_back(uid);
+  }
+  ASSERT_TRUE(tree.AdoptSnapshot(re.snapshot, &partial).ok());
+  Status st = tree.ValidateInvariants();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+
+  // A diff-all adopt re-derives every hosted key and repairs the tree.
+  ASSERT_TRUE(tree.AdoptSnapshot(re.snapshot, nullptr).ok());
+  st = tree.ValidateInvariants();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
 TEST(NegativeValidation, DetectsCorruptedPinCountAndFrameTable) {
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{8});

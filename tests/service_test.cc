@@ -5,8 +5,9 @@
 //    reject malformed requests with IDENTICAL status codes (the
 //    privacy_index.h contract).
 //  * Response-carried observability: counters and per-query IoStats deltas
-//    arrive by value, exact — serially and under concurrent submission
-//    against interleaved update batches.
+//    arrive by value, exact — serially, under concurrent submission
+//    against interleaved update batches, and under concurrent queries on
+//    every index, single trees included.
 //  * Async submission: Submit/SubmitBatch answers equal serial Execute.
 //  * Engine-wide continuous queries: identical event streams on 1-shard
 //    and 4-shard engines.
@@ -401,6 +402,84 @@ TEST(ServiceConcurrency, ManualThreadsHammerExecute) {
   for (auto& thread : threads) thread.join();
   for (size_t t = 0; t < kThreads; ++t) {
     EXPECT_EQ(failures[t], 0) << "thread " << t;
+  }
+}
+
+// Every index answers queries concurrently: a 4-thread PRQ + PkNN hammer
+// over the two single-tree services and a 4-shard engine service. Every
+// answer must equal the serial run's, and so must each single-tree
+// response's work counts — a counter slot shared between queries would tear
+// them. The engine's PkNN retirement, and every index's seek descents and
+// I/O, depend on timing or pool residency, so they are not compared.
+TEST(ServiceConcurrency, EveryIndexAnswersQueriesConcurrently) {
+  Workload w = Workload::Build(SmallParams(40));
+  auto engine = MakeEngine(w, 4, 2);
+  MovingObjectService engine_svc(engine.get(), w.catalog());
+
+  QuerySetOptions q;
+  q.count = 12;
+  q.window_side = 250.0;
+  q.seed = 101;
+  std::vector<QueryRequest> requests;
+  for (const auto& query : MakePrqQueries(w, q)) {
+    requests.push_back(QueryRequest::Prq(query.issuer, query.range, query.tq));
+  }
+  for (const auto& query : MakePknnQueries(w, q)) {
+    requests.push_back(
+        QueryRequest::Pknn(query.issuer, query.qloc, query.k, query.tq));
+  }
+
+  struct Case {
+    const char* name;
+    MovingObjectService* svc;
+    bool exact_counts;
+  };
+  for (const Case& c : {Case{"peb-tree", &w.peb_service(), true},
+                        Case{"filtering", &w.spatial_service(), true},
+                        Case{"engine", &engine_svc, false}}) {
+    std::vector<QueryResponse> serial;
+    for (const QueryRequest& request : requests) {
+      serial.push_back(c.svc->Execute(request));
+      ASSERT_TRUE(serial.back().ok()) << c.name << ": "
+                                      << serial.back().status;
+    }
+    auto matches_serial = [&](const QueryResponse& got, size_t i) {
+      const QueryResponse& want = serial[i];
+      if (!got.ok() || got.ids != want.ids ||
+          !SameNeighbors(Normalized(got.neighbors),
+                         Normalized(want.neighbors))) {
+        return false;
+      }
+      return !c.exact_counts ||
+             (got.counters.range_probes == want.counters.range_probes &&
+              got.counters.candidates_examined ==
+                  want.counters.candidates_examined &&
+              got.counters.rounds == want.counters.rounds &&
+              got.counters.results == want.counters.results);
+    };
+
+    constexpr size_t kThreads = 4;
+    std::vector<int> failures(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        // Each thread runs every request, starting at its own offset, so
+        // different queries overlap on the same tree.
+        const size_t n = requests.size();
+        for (int rep = 0; rep < 3; ++rep) {
+          for (size_t j = 0; j < n; ++j) {
+            const size_t i = (j + t * n / kThreads) % n;
+            if (!matches_serial(c.svc->Execute(requests[i]), i)) {
+              failures[t]++;
+            }
+          }
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(failures[t], 0) << c.name << " thread " << t;
+    }
   }
 }
 
