@@ -3,9 +3,13 @@
 // bytes; this header defines what the engine actually journals:
 //
 //   kEvents      logical mutation batch (insert/update/delete per object) —
-//                one record per ApplyBatch / single-op mutation, appended
-//                after the in-RAM apply succeeds (correct because durable
-//                state only changes at checkpoints; see sharded_engine.h).
+//                one record per ingested batch (an ApplyBatch or a single-op
+//                mutation), appended after the in-RAM apply succeeds
+//                (correct because durable state only changes at
+//                checkpoints; see sharded_engine.h). Replay ingests each
+//                record as the one batch it was published as: its ops are
+//                checked in order, each against the presence the earlier
+//                ones leave.
 //   (type 2)     reserved: older logs carry advisory delta-merge markers
 //                here. They cannot change what recovery produces — Open()
 //                re-checkpoints any non-empty log, merging every delta — so

@@ -7,7 +7,6 @@
 #include <optional>
 #include <utility>
 
-#include "storage/fault_injection.h"
 #include "telemetry/trace.h"
 
 namespace peb {
@@ -69,47 +68,31 @@ void MergeByDistance(const std::vector<Neighbor>& fresh,
 
 }  // namespace
 
-ShardedPebEngine::DiskHolder ShardedPebEngine::MakeDisk(
-    const EngineOptions& options) {
-  DiskHolder holder;
-  const auto& dur = options.durability;
-  if (dur.path.empty()) {
-    holder.disk = std::make_unique<InMemoryDiskManager>();
-    return holder;
-  }
-  FileDiskOptions fopts;
-  fopts.overwrite_existing = dur.overwrite_existing;
-  std::unique_ptr<FileDiskManager> file;
-  if (dur.fault_injector != nullptr) {
-    file = std::make_unique<FaultInjectingDiskManager>(dur.path,
-                                                       dur.fault_injector,
-                                                       fopts);
-  } else {
-    file = std::make_unique<FileDiskManager>(dur.path, fopts);
-  }
-  holder.durable = file.get();
-  holder.disk = std::move(file);
-  return holder;
-}
-
 ShardedPebEngine::ShardedPebEngine(
     const EngineOptions& options, const PolicyStore* store,
     const RoleRegistry* roles,
     std::shared_ptr<const EncodingSnapshot> snapshot)
-    : ShardedPebEngine(MakeDisk(options), options, store, roles,
-                       std::move(snapshot), /*fresh=*/true) {}
+    : ShardedPebEngine(
+          options.durability.path.empty()
+              ? nullptr
+              : std::make_unique<FileDiskManager>(
+                    options.durability.path,
+                    FileDiskOptions{options.durability.overwrite_existing},
+                    options.durability.fault_injector),
+          options, store, roles, std::move(snapshot), /*fresh=*/true) {}
 
 ShardedPebEngine::ShardedPebEngine(
-    DiskHolder holder, const EngineOptions& options, const PolicyStore* store,
-    const RoleRegistry* roles,
+    std::unique_ptr<FileDiskManager> file, const EngineOptions& options,
+    const PolicyStore* store, const RoleRegistry* roles,
     std::shared_ptr<const EncodingSnapshot> snapshot, bool fresh)
     : options_(options),
       snapshot_(std::move(snapshot)),
       store_(store),
       roles_(roles),
       num_users_(snapshot_ == nullptr ? 0 : snapshot_->num_users()),
-      disk_(std::move(holder.disk)),
-      durable_(holder.durable),
+      durable_(file.get()),
+      disk_(file != nullptr ? std::unique_ptr<DiskManager>(std::move(file))
+                            : std::make_unique<InMemoryDiskManager>()),
       pool_(disk_.get(),
             BufferPoolOptions{options.buffer_pages, kPoolLatchShards}),
       threads_(options.num_threads),
@@ -224,19 +207,25 @@ Status ShardedPebEngine::durability_status() const {
   return durability_error_;
 }
 
+Status ShardedPebEngine::AppendWal(engine_wal::RecordType type,
+                                   std::string payload, bool sync) {
+  PEB_RETURN_NOT_OK(durability_error_);
+  WalRecord rec;
+  rec.seq = ++wal_seq_;
+  rec.type = type;
+  rec.payload = std::move(payload);
+  Status st = wal_->Append(rec);
+  if (st.ok() && sync) st = wal_->Sync();
+  if (!st.ok()) durability_error_ = st;
+  return st;
+}
+
 Status ShardedPebEngine::LogOps(
     const std::vector<engine_wal::LoggedOp>& ops) {
   if (wal_ == nullptr || replaying_) return Status::OK();
   MutexLock wal_lock(&wal_mu_);
-  PEB_RETURN_NOT_OK(durability_error_);
-  WalRecord rec;
-  rec.seq = ++wal_seq_;
-  rec.type = engine_wal::kEvents;
-  rec.payload = engine_wal::EncodeEvents(ops);
-  Status st = wal_->Append(rec);
-  if (st.ok()) st = wal_->Sync();
-  if (!st.ok()) durability_error_ = st;
-  return st;
+  return AppendWal(engine_wal::kEvents, engine_wal::EncodeEvents(ops),
+                   /*sync=*/true);
 }
 
 Status ShardedPebEngine::Checkpoint() {
@@ -278,41 +267,34 @@ Status ShardedPebEngine::CheckpointFrozen(bool clean) {
   const std::string manifest_blob = engine_wal::EncodeManifest(manifest);
 
   MutexLock wal_lock(&wal_mu_);
-  PEB_RETURN_NOT_OK(durability_error_);
   // 4. Journal the checkpoint itself: every overlay page plus a commit
-  //    record carrying the allocation state and manifest. If the fold in
-  //    step 5 crashes midway, recovery finishes the checkpoint from these
-  //    records instead of reading torn pages.
+  //    record carrying the allocation state and manifest, synced once. If
+  //    the fold in step 5 crashes midway, recovery finishes the checkpoint
+  //    from these records instead of reading torn pages.
   Status st;
   durable_->ForEachDirtyPage([&](PageId id, const Page& page) {
     wal_mu_.AssertHeld();  // Called back synchronously, under wal_lock.
-    if (!st.ok()) return;
-    WalRecord rec;
-    rec.seq = ++wal_seq_;
-    rec.type = engine_wal::kPageImage;
-    rec.payload = engine_wal::EncodePageImage(id, page);
-    st = wal_->Append(rec);
+    if (st.ok()) {
+      st = AppendWal(engine_wal::kPageImage,
+                     engine_wal::EncodePageImage(id, page), /*sync=*/false);
+    }
   });
-  uint64_t commit_seq = 0;
   if (st.ok()) {
     engine_wal::CheckpointRecord cr;
-    cr.next_page = static_cast<PageId>(durable_->capacity());
+    cr.next_page = durable_->capacity();
     cr.free_list = durable_->FreeList();
     cr.manifest = manifest_blob;
-    commit_seq = ++wal_seq_;
-    WalRecord rec;
-    rec.seq = commit_seq;
-    rec.type = engine_wal::kCheckpoint;
-    rec.payload = engine_wal::EncodeCheckpoint(cr);
-    st = wal_->Append(rec);
+    st = AppendWal(engine_wal::kCheckpoint, engine_wal::EncodeCheckpoint(cr),
+                   /*sync=*/true);
   }
-  if (st.ok()) st = wal_->Sync();
-  // 5. Fold the overlay into the file under a new superblock generation.
-  //    Crash before the superblock lands: the old generation + the WAL
-  //    records above reproduce this exact state. Crash after: the new
-  //    generation IS this state, and replay skips the stale WAL by seq.
+  // 5. Fold the overlay into the file under a new superblock generation,
+  //    stamped with the commit record's seq. Crash before the superblock
+  //    lands: the old generation + the WAL records above reproduce this
+  //    exact state. Crash after: the new generation IS this state, and
+  //    replay skips the stale WAL by seq.
   if (st.ok()) {
-    st = durable_->Commit(manifest_blob, commit_seq, manifest.epoch, clean);
+    st = durable_->Commit(manifest_blob, /*checkpoint_seq=*/wal_seq_,
+                          manifest.epoch, clean);
   }
   // 6. The log's work is done.
   if (st.ok()) st = wal_->Truncate();
@@ -335,18 +317,10 @@ Result<std::unique_ptr<ShardedPebEngine>> ShardedPebEngine::Open(
         "checkpointed under");
   }
   // 1. Reopen the page store (never truncates; rejects corrupt files).
-  DiskHolder holder;
-  if (dur.fault_injector != nullptr) {
-    PEB_ASSIGN_OR_RETURN(auto fd, FaultInjectingDiskManager::OpenExisting(
-                                      dur.path, dur.fault_injector));
-    holder.durable = fd.get();
-    holder.disk = std::move(fd);
-  } else {
-    PEB_ASSIGN_OR_RETURN(auto fd, FileDiskManager::OpenExisting(dur.path));
-    holder.durable = fd.get();
-    holder.disk = std::move(fd);
-  }
-  DurableDiskManager* durable = holder.durable;
+  PEB_ASSIGN_OR_RETURN(
+      std::unique_ptr<FileDiskManager> file,
+      FileDiskManager::OpenExisting(dur.path, dur.fault_injector));
+  FileDiskManager* durable = file.get();
   const bool unclean = !durable->clean_shutdown();
 
   // 2. The WAL's longest valid prefix (a torn tail parses as end-of-log:
@@ -403,7 +377,7 @@ Result<std::unique_ptr<ShardedPebEngine>> ShardedPebEngine::Open(
     PEB_RETURN_NOT_OK(engine_wal::DecodeManifest(manifest_blob, &manifest));
   }
   std::unique_ptr<ShardedPebEngine> engine(new ShardedPebEngine(
-      std::move(holder), options, store, roles, snapshot, /*fresh=*/false));
+      std::move(file), options, store, roles, snapshot, /*fresh=*/false));
   // Every error return below destroys a half-recovered engine. Disarm its
   // close checkpoint until recovery fully succeeds: with it armed, the
   // destructor would commit the partial (or empty) shard manifest as a new
@@ -450,8 +424,9 @@ Result<std::unique_ptr<ShardedPebEngine>> ShardedPebEngine::Open(
     }
   }
 
-  // 5. Replay the WAL suffix through the normal mutation paths (replay is
-  //    not re-logged; the re-checkpoint below supersedes the log).
+  // 5. Replay the WAL suffix through the normal write path, each kEvents
+  //    record as the one batch it was published as (replay is not
+  //    re-logged; the re-checkpoint below supersedes the log).
   engine->replaying_ = true;
   uint64_t max_seq = ckpt_seq;
   Status replay_st;
@@ -461,20 +436,7 @@ Result<std::unique_ptr<ShardedPebEngine>> ShardedPebEngine::Open(
     if (rec.type == engine_wal::kEvents) {
       std::vector<engine_wal::LoggedOp> ops;
       replay_st = engine_wal::DecodeEvents(rec.payload, &ops);
-      for (const engine_wal::LoggedOp& op : ops) {
-        if (!replay_st.ok()) break;
-        switch (op.kind) {
-          case engine_wal::LoggedOp::kInsert:
-            replay_st = engine->Insert(op.state);
-            break;
-          case engine_wal::LoggedOp::kUpdate:
-            replay_st = engine->Update(op.state);
-            break;
-          case engine_wal::LoggedOp::kDelete:
-            replay_st = engine->Delete(op.state.id);
-            break;
-        }
-      }
+      if (replay_st.ok()) replay_st = engine->Ingest(ops);
     } else if (rec.type == engine_wal::kRekey) {
       // Epoch barrier: records past it would need the post-adopt encoding,
       // and AdoptSnapshot checkpoints right after logging it — so a kRekey
@@ -530,83 +492,102 @@ void ShardedPebEngine::UpdateBacklogGauge() const {
   delta_backlog_->Set(static_cast<int64_t>(total));
 }
 
-Status ShardedPebEngine::IngestOne(const MovingObject& state, bool tombstone,
-                                   bool require_absent, bool require_present) {
+Status ShardedPebEngine::Ingest(
+    const std::vector<engine_wal::LoggedOp>& ops) {
+  using Op = engine_wal::LoggedOp;
   PEB_RETURN_NOT_OK(durability_status());
+  if (ops.empty()) return Status::OK();
   // Reject ids outside the encoding first: present_ is indexed by id, and
   // WAL replay feeds ids read from disk. Statuses match a single tree's:
   // Delete of an unknown user is NotFound, Insert/Update outside the
   // encoding InvalidArgument.
-  if (state.id >= num_users_) {
-    if (tombstone) {
-      return Status::NotFound("object " + std::to_string(state.id));
+  for (const Op& op : ops) {
+    if (op.state.id < num_users_) continue;
+    if (op.kind == Op::kDelete) {
+      return Status::NotFound("object " + std::to_string(op.state.id));
     }
     return Status::InvalidArgument("object id outside the policy encoding");
   }
-  const size_t idx = ShardOf(state.id, num_shards());
-  telemetry::Inc(shard_instruments_[idx].updates);
-  // Backpressure: the writer (never a query) absorbs the merge cost when
-  // this shard's delta is at the hard cap.
-  if (deltas_[idx]->records() >= HardCap(options_.delta)) {
-    delta_backpressure_merges_.fetch_add(1, std::memory_order_relaxed);
-    PEB_RETURN_NOT_OK(MergeShards({idx}));
+  // Backpressure: merge any shard already at the hard cap BEFORE appending
+  // — the writer stalls here, queries never do.
+  const size_t cap = HardCap(options_.delta);
+  std::vector<size_t> over;
+  for (size_t s = 0; s < deltas_.size(); ++s) {
+    if (deltas_[s]->records() >= cap) over.push_back(s);
+  }
+  if (!over.empty()) {
+    delta_backpressure_merges_.fetch_add(over.size(),
+                                         std::memory_order_relaxed);
+    PEB_RETURN_NOT_OK(MergeShards(over));
   }
   {
     MutexLock ingest(&ingest_mu_);
-    // Status parity with a single tree's ops: Insert -> AlreadyExists,
-    // Delete -> NotFound, Update is an upsert.
-    const bool was_present = present_[state.id] != 0;
-    if (require_absent && was_present) {
-      return Status::AlreadyExists("object " + std::to_string(state.id) +
+    // Status parity with a single tree's ops, checked in batch order
+    // against the presence the earlier ops leave: Insert -> AlreadyExists,
+    // Delete -> NotFound, Update is an upsert. `was` keeps each op's
+    // presence before it, for its membership effect and for the undo.
+    std::vector<uint8_t> was(ops.size());
+    for (size_t i = 0; i < ops.size(); ++i) {
+      uint8_t& present = present_[ops[i].state.id];
+      was[i] = present;
+      Status st;
+      if (ops[i].kind == Op::kInsert && present != 0) {
+        st = Status::AlreadyExists("object " +
+                                   std::to_string(ops[i].state.id) +
                                    " already indexed");
+      } else if (ops[i].kind == Op::kDelete && present == 0) {
+        st = Status::NotFound("object " + std::to_string(ops[i].state.id));
+      }
+      if (!st.ok()) {
+        // Rejected whole, before anything is published: restore the
+        // presence bytes of the ops already checked, newest first.
+        while (i-- > 0) present_[ops[i].state.id] = was[i];
+        return st;
+      }
+      present = ops[i].kind == Op::kDelete ? 0 : 1;
     }
-    if (require_present && !was_present) {
-      return Status::NotFound("object " + std::to_string(state.id));
-    }
+    // ONE seq for the whole batch: the release store below publishes it
+    // atomically, so a query's pinned watermark sees all of it or none.
     const uint64_t seq = ++next_seq_;
-    // Membership effect: +1 join, -1 leave, 0 move.
-    deltas_[idx]->Append(state, tombstone, seq,
-                         int{!tombstone} - int{was_present});
-    present_[state.id] = tombstone ? 0 : 1;
-    published_seq_.store(seq, std::memory_order_release);
-    if (wal_ != nullptr) {
-      // Journal inside the ingest section so WAL order matches publication
-      // order. Failure poisons the engine; this op was applied in RAM but
-      // reports an error, and no later mutation can commit past it.
-      engine_wal::LoggedOp op;
-      op.kind = tombstone ? engine_wal::LoggedOp::kDelete
-                          : (require_absent ? engine_wal::LoggedOp::kInsert
-                                            : engine_wal::LoggedOp::kUpdate);
-      op.state = state;
-      PEB_RETURN_NOT_OK(LogOps({op}));
+    for (size_t i = 0; i < ops.size(); ++i) {
+      const bool tombstone = ops[i].kind == Op::kDelete;
+      const size_t idx = ShardOf(ops[i].state.id, num_shards());
+      telemetry::Inc(shard_instruments_[idx].updates);
+      // Membership effect: +1 join, -1 leave, 0 move.
+      deltas_[idx]->Append(ops[i].state, tombstone, seq,
+                           int{!tombstone} - int{was[i]});
     }
+    published_seq_.store(seq, std::memory_order_release);
+    // One kEvents record per batch, journaled inside the ingest section so
+    // WAL order matches publication order; an OK return means the whole
+    // batch is on disk. Failure poisons the engine: the batch was applied
+    // in RAM but reports an error, and no later mutation can commit past
+    // it.
+    PEB_RETURN_NOT_OK(LogOps(ops));
   }
-  telemetry::Inc(delta_appends_);
+  telemetry::Inc(delta_appends_, ops.size());
   UpdateBacklogGauge();
   return MaybeMergeDeltas();
 }
 
 Status ShardedPebEngine::Insert(const MovingObject& object) {
-  return IngestOne(object, /*tombstone=*/false, /*require_absent=*/true,
-                   /*require_present=*/false);
+  return Ingest({{engine_wal::LoggedOp::kInsert, object}});
 }
 
 Status ShardedPebEngine::Update(const MovingObject& object) {
-  return IngestOne(object, /*tombstone=*/false, /*require_absent=*/false,
-                   /*require_present=*/false);
+  return Ingest({{engine_wal::LoggedOp::kUpdate, object}});
 }
 
 Status ShardedPebEngine::Delete(UserId id) {
   MovingObject tomb;
   tomb.id = id;
-  return IngestOne(tomb, /*tombstone=*/true, /*require_absent=*/false,
-                   /*require_present=*/true);
+  return Ingest({{engine_wal::LoggedOp::kDelete, tomb}});
 }
 
 Status ShardedPebEngine::LoadDataset(const Dataset& dataset) {
   PEB_RETURN_NOT_OK(durability_status());
   for (const MovingObject& o : dataset.objects) {
-    if (o.id >= num_users_) {  // Checked first, as in IngestOne.
+    if (o.id >= num_users_) {  // Checked first, as in Ingest.
       return Status::InvalidArgument("object id outside the policy encoding");
     }
   }
@@ -670,57 +651,12 @@ Status ShardedPebEngine::LoadDataset(const Dataset& dataset) {
 }
 
 Status ShardedPebEngine::ApplyBatch(const std::vector<UpdateEvent>& events) {
-  PEB_RETURN_NOT_OK(durability_status());
-  if (events.empty()) return Status::OK();
-  // Pre-validate so the whole batch is rejected before anything is
-  // published (and before any id indexes present_).
+  std::vector<engine_wal::LoggedOp> ops;
+  ops.reserve(events.size());
   for (const UpdateEvent& ev : events) {
-    if (ev.state.id >= num_users_) {
-      return Status::InvalidArgument("object id outside the policy encoding");
-    }
+    ops.push_back({engine_wal::LoggedOp::kUpdate, ev.state});
   }
-  // Backpressure: merge any destination shard already at the hard cap
-  // BEFORE appending — the writer stalls here, queries never do.
-  const size_t cap = HardCap(options_.delta);
-  std::vector<size_t> over;
-  for (size_t s = 0; s < deltas_.size(); ++s) {
-    if (deltas_[s]->records() >= cap) over.push_back(s);
-  }
-  if (!over.empty()) {
-    delta_backpressure_merges_.fetch_add(over.size(),
-                                         std::memory_order_relaxed);
-    PEB_RETURN_NOT_OK(MergeShards(over));
-  }
-  {
-    MutexLock ingest(&ingest_mu_);
-    // ONE seq for the whole batch: the release store below publishes it
-    // atomically, so a query's pinned watermark sees all of it or none.
-    const uint64_t seq = ++next_seq_;
-    for (const UpdateEvent& ev : events) {
-      const size_t idx = ShardOf(ev.state.id, num_shards());
-      telemetry::Inc(shard_instruments_[idx].updates);
-      // An upsert of an absent user is a join; of a present one, a move.
-      uint8_t& present = present_[ev.state.id];
-      deltas_[idx]->Append(ev.state, /*tombstone=*/false, seq,
-                           present != 0 ? 0 : 1);
-      present = 1;
-    }
-    published_seq_.store(seq, std::memory_order_release);
-    if (wal_ != nullptr) {
-      // One kEvents record per batch, journaled inside the ingest section
-      // (WAL order = publication order); an OK return means the whole
-      // batch is on disk once the sync below lands.
-      std::vector<engine_wal::LoggedOp> ops;
-      ops.reserve(events.size());
-      for (const UpdateEvent& ev : events) {
-        ops.push_back({engine_wal::LoggedOp::kUpdate, ev.state});
-      }
-      PEB_RETURN_NOT_OK(LogOps(ops));
-    }
-  }
-  telemetry::Inc(delta_appends_, events.size());
-  UpdateBacklogGauge();
-  return MaybeMergeDeltas();
+  return Ingest(ops);
 }
 
 // ---------------------------------------------------------------------------
@@ -890,17 +826,9 @@ Status ShardedPebEngine::AdoptSnapshot(
     MutexLock ingest(&ingest_mu_);
     {
       MutexLock wal_lock(&wal_mu_);
-      PEB_RETURN_NOT_OK(durability_error_);
-      WalRecord rec;
-      rec.seq = ++wal_seq_;
-      rec.type = engine_wal::kRekey;
-      rec.payload = engine_wal::EncodeRekey(snapshot->epoch());
-      Status st = wal_->Append(rec);
-      if (st.ok()) st = wal_->Sync();
-      if (!st.ok()) {
-        durability_error_ = st;
-        return st;
-      }
+      PEB_RETURN_NOT_OK(AppendWal(engine_wal::kRekey,
+                                  engine_wal::EncodeRekey(snapshot->epoch()),
+                                  /*sync=*/true));
     }
     PEB_RETURN_NOT_OK(CheckpointFrozen(/*clean=*/false));
   }

@@ -47,8 +47,10 @@
 // keeps every query's view atomic: a query fanned out over several
 // shards can never observe half a merge or half an epoch.
 //
-// Log-structured ingestion: updates (Insert/Update/Delete/ApplyBatch)
-// never take state_mu_ themselves (only through the merges they trigger).
+// Log-structured ingestion: every mutation (Insert/Update/Delete, one op
+// each; ApplyBatch, one op per event; and Open()'s WAL replay, one batch
+// per logged record) goes through one write path, Ingest(), which never
+// takes state_mu_ itself (only through the merges it triggers).
 // Writers serialize on a dedicated ingest mutex, append raw-state records
 // to the home shard's in-memory delta (engine/shard_delta.h) under that
 // shard's delta latch, and publish the batch by storing its seq into an
@@ -109,7 +111,8 @@
 // (Open) adopts the newest complete checkpoint (superblock, or a newer one
 // whose fold crashed but whose WAL commit record landed), re-attaches the
 // shard trees from its manifest without rebuilding, replays the WAL suffix
-// through the normal mutation paths, and re-checkpoints.
+// through Ingest() (each kEvents record as the one batch it was published
+// as), and re-checkpoints.
 #pragma once
 
 #include <atomic>
@@ -168,8 +171,8 @@ struct EngineOptions {
   struct DurabilityOptions {
     /// Database file path. Non-empty = durable engine: file-backed overlay
     /// store at `path` plus a write-ahead log at `path + ".wal"`. The WAL is
-    /// fsynced after every logged mutation batch, so an OK ApplyBatch
-    /// survives a crash.
+    /// synced (fdatasync) after every logged mutation batch, so an OK
+    /// ApplyBatch survives a crash.
     std::string path;
     /// Allow fresh-engine construction to truncate a path that already
     /// holds a valid database. Off (the default) poisons the engine
@@ -261,13 +264,12 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   /// drain first, so no buffered tombstone shadows a loaded user.
   Status LoadDataset(const Dataset& dataset);
 
-  /// Applies a time-ordered update batch: the whole batch is appended to
-  /// the home shards' deltas under the ingest lock and published
-  /// atomically (one seq per batch), so concurrent queries see all of it or
-  /// none of it — without the batch ever blocking them. Per-user ordering
-  /// is preserved because a user maps to exactly one shard. A batch naming
-  /// an id outside the policy encoding is rejected whole, before anything
-  /// is published.
+  /// Applies a time-ordered update batch through Ingest(), one kUpdate op
+  /// per event: the whole batch is appended to the home shards' deltas
+  /// under the ingest lock and published atomically (one seq per batch),
+  /// so concurrent queries see all of it or none of it — without the batch
+  /// ever blocking them. A batch naming an id outside the policy encoding
+  /// is rejected whole, before anything is published.
   Status ApplyBatch(const std::vector<UpdateEvent>& events);
 
   // --- durability -----------------------------------------------------------
@@ -300,7 +302,7 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
 
   /// The durable store (null on in-memory engines); tests inspect overlay
   /// and superblock state through it.
-  const DurableDiskManager* durable_store() const { return durable_; }
+  const FileDiskManager* durable_store() const { return durable_; }
 
   // --- delta ingestion ------------------------------------------------------
   /// Drains every non-empty shard delta into its tree (one exclusive
@@ -370,23 +372,13 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
                 const std::function<Status(size_t)>& task)
       REQUIRES_SHARED(state_mu_);
 
-  /// The disk a constructor run will own, plus its durable view (null for
-  /// the in-memory disk). Carried as one value so the delegating
-  /// constructors can hand both through a single argument without RTTI.
-  struct DiskHolder {
-    std::unique_ptr<DiskManager> disk;
-    DurableDiskManager* durable = nullptr;
-  };
-
-  /// Builds the disk options_.durability selects: in-memory (empty path),
-  /// file-backed, or fault-injecting file-backed.
-  static DiskHolder MakeDisk(const EngineOptions& options);
-
-  /// The one real constructor; the public ones delegate. `fresh` means the
-  /// disk was just created (not reopened): any WAL left at the path is a
-  /// stale artifact of a previous database and is truncated.
-  ShardedPebEngine(DiskHolder holder, const EngineOptions& options,
-                   const PolicyStore* store, const RoleRegistry* roles,
+  /// The one real constructor; the public one and Open() delegate. `file`
+  /// is the durable page store, or null for an in-memory disk. `fresh`
+  /// means the store was just created (not reopened): any WAL left at the
+  /// path is a stale artifact of a previous database and is truncated.
+  ShardedPebEngine(std::unique_ptr<FileDiskManager> file,
+                   const EngineOptions& options, const PolicyStore* store,
+                   const RoleRegistry* roles,
                    std::shared_ptr<const EncodingSnapshot> snapshot,
                    bool fresh);
 
@@ -412,12 +404,16 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
                       std::vector<DeltaCandidate>* out) const
       REQUIRES_SHARED(state_mu_);
 
-  /// Appends one single-object mutation (Insert/Update/Delete) to the home
-  /// shard's delta with a single tree's status codes, then publishes it.
-  /// Ids outside the encoding are rejected first: present_ is indexed by
-  /// id, and WAL replay feeds ids read from disk.
-  Status IngestOne(const MovingObject& state, bool tombstone,
-                   bool require_absent, bool require_present)
+  /// The one write path. Checks `ops` with a single tree's status codes —
+  /// ids outside the encoding first (present_ is indexed by id, and WAL
+  /// replay feeds ids read from disk), then each op in order against the
+  /// presence the earlier ops leave (Insert -> AlreadyExists, Delete ->
+  /// NotFound) — and rejects the whole batch before anything is
+  /// published. An accepted batch is appended to the home shards' deltas
+  /// under ONE seq, published by one release store (queries see all of it
+  /// or none) and journaled as one kEvents record. Per-user ordering is
+  /// preserved because a user maps to exactly one shard.
+  Status Ingest(const std::vector<engine_wal::LoggedOp>& ops)
       EXCLUDES(ingest_mu_);
 
   /// Merges the named shards' deltas into their trees under one exclusive
@@ -434,12 +430,19 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
       REQUIRES(state_mu_);
 
   // --- durability internals -------------------------------------------------
-  /// Journals `ops` as one kEvents record (one WAL record per logical
-  /// batch) and syncs the log. Called after the in-RAM apply succeeded,
-  /// from inside the caller's ingest or exclusive state section — so
-  /// record order in the log matches publication order.
-  /// No-op on in-memory engines and during recovery replay. Failure
-  /// poisons the engine and propagates.
+  /// Appends one WAL record stamped with the next WAL seq, syncing the log
+  /// when `sync` is set. Every record the engine writes goes through here:
+  /// kEvents batches, the kRekey barrier, and a checkpoint's page images
+  /// and commit record. Refuses once the engine is poisoned; a failure
+  /// poisons it (latches durability_error_) and propagates.
+  Status AppendWal(engine_wal::RecordType type, std::string payload,
+                   bool sync) REQUIRES(wal_mu_);
+
+  /// Journals `ops` as one synced kEvents record (one WAL record per
+  /// logical batch). Called after the in-RAM apply succeeded, from inside
+  /// Ingest's ingest section — so record order in the log matches
+  /// publication order. No-op on in-memory engines and during recovery
+  /// replay.
   Status LogOps(const std::vector<engine_wal::LoggedOp>& ops)
       EXCLUDES(wal_mu_);
 
@@ -490,11 +493,12 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   /// snapshots with a different population, so the ingest path can check
   /// id bounds without touching state_mu_.
   size_t num_users_ = 0;
-  /// One disk + one sharded clock pool shared by every shard tree. The
-  /// disk is in-memory by default, file-backed when durability.path is set
-  /// (then durable_ is its non-owning durable view, else null).
+  /// The file-backed page store when durability.path is set, else null.
+  /// Non-owning: disk_ owns it.
+  FileDiskManager* durable_ = nullptr;
+  /// One disk + one sharded clock pool shared by every shard tree: durable_,
+  /// or an in-memory disk by default.
   std::unique_ptr<DiskManager> disk_;
-  DurableDiskManager* durable_ = nullptr;
   /// Leaf lock: the WAL, its sequencing and the poison status (see lock
   /// order).
   mutable Mutex wal_mu_;
@@ -507,7 +511,7 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   uint64_t wal_seq_ GUARDED_BY(wal_mu_) = 0;
   /// First durability I/O failure, latched forever (see header comment).
   Status durability_error_ GUARDED_BY(wal_mu_);
-  /// True while Open() replays the WAL through the normal mutation paths:
+  /// True while Open() replays the WAL through the normal write path:
   /// suppresses re-logging the records being replayed. Plain bool, like
   /// close_checkpoint_armed_ below: written only inside Open(), before the
   /// engine is ever shared.

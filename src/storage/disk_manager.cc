@@ -7,10 +7,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "common/crc32.h"
+#include "storage/fault_injection.h"
 
 namespace peb {
 
@@ -109,46 +109,57 @@ uint64_t DataOffset(PageId id) {
 /// half-created or corrupt database still counts as one for the purpose of
 /// refusing to silently truncate it.
 bool HoldsDatabase(const std::string& path) {
-  std::FILE* probe = std::fopen(path.c_str(), "rb");
-  if (probe == nullptr) return false;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
   bool holds = false;
   for (int slot = 0; slot < 2 && !holds; ++slot) {
     uint64_t magic = 0;
-    holds = std::fseek(probe, static_cast<long>(slot * kPageSize),
-                       SEEK_SET) == 0 &&
-            std::fread(&magic, 1, sizeof(magic), probe) == sizeof(magic) &&
+    holds = ::pread(fd, &magic, sizeof(magic),
+                    static_cast<off_t>(slot * kPageSize)) ==
+                static_cast<ssize_t>(sizeof(magic)) &&
             magic == kSbMagic;
   }
-  std::fclose(probe);
+  ::close(fd);
   return holds;
 }
 
 }  // namespace
 
+Status SyncParentDirectory(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IOError("cannot open directory " + dir + ": " +
+                           std::strerror(errno));
+  }
+  const int rc = ::fsync(fd);
+  const int err = errno;
+  ::close(fd);
+  if (rc != 0) {
+    return Status::IOError("fsync of directory " + dir + " failed: " +
+                           std::strerror(err));
+  }
+  return Status::OK();
+}
+
 // ---------------------------------------------------------------------------
 // FileDiskManager: lifecycle
 // ---------------------------------------------------------------------------
 
-FileDiskManager::FileDiskManager(std::string path, FileDiskOptions options) {
-  CreateNew(std::move(path), options);
-}
-
-FileDiskManager::~FileDiskManager() {
-  if (map_ != nullptr) ::munmap(map_, mapped_bytes_);
-  if (fd_ >= 0) ::close(fd_);
-}
-
-void FileDiskManager::CreateNew(std::string path, FileDiskOptions options) {
-  path_ = std::move(path);
-  options_ = options;
-  if (!options_.overwrite_existing && HoldsDatabase(path_)) {
+FileDiskManager::FileDiskManager(std::string path, FileDiskOptions options,
+                                 FaultInjector* injector)
+    : path_(std::move(path)), injector_(injector) {
+  if (!options.overwrite_existing && HoldsDatabase(path_)) {
     status_ = Status::InvalidArgument(
         path_ + " already holds a database; reopen it with OpenExisting() "
                 "(engine: ShardedPebEngine::Open), or set "
                 "overwrite_existing to recreate it");
     return;
   }
-  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0666);
+  fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
   if (fd_ < 0) {
     status_ = Status::IOError("cannot open " + path_ + ": " +
                               std::strerror(errno));
@@ -160,19 +171,24 @@ void FileDiskManager::CreateNew(std::string path, FileDiskOptions options) {
   // reopens as an empty (and trivially consistent) store.
   status_ = WriteSuperblock(/*metadata=*/"", /*checkpoint_seq=*/0,
                             /*epoch=*/0, /*clean=*/true);
+  if (status_.ok()) status_ = SyncParentDirectory(path_);
+}
+
+FileDiskManager::~FileDiskManager() {
+  if (map_ != nullptr) ::munmap(map_, mapped_bytes_);
+  if (fd_ >= 0) ::close(fd_);
 }
 
 Result<std::unique_ptr<FileDiskManager>> FileDiskManager::OpenExisting(
-    std::string path, FileDiskOptions options) {
-  auto dm = std::unique_ptr<FileDiskManager>(new FileDiskManager());
-  PEB_RETURN_NOT_OK(dm->OpenImpl(std::move(path), options));
+    std::string path, FaultInjector* injector) {
+  auto dm = std::unique_ptr<FileDiskManager>(new FileDiskManager(injector));
+  PEB_RETURN_NOT_OK(dm->OpenImpl(std::move(path)));
   return dm;
 }
 
-Status FileDiskManager::OpenImpl(std::string path, FileDiskOptions options) {
+Status FileDiskManager::OpenImpl(std::string path) {
   path_ = std::move(path);
-  options_ = options;
-  fd_ = ::open(path_.c_str(), O_RDWR);
+  fd_ = ::open(path_.c_str(), O_RDWR | O_CLOEXEC);
   if (fd_ < 0) {
     status_ = Status::IOError("cannot open existing " + path_ + ": " +
                               std::strerror(errno));
@@ -228,7 +244,6 @@ Status FileDiskManager::OpenImpl(std::string path, FileDiskOptions options) {
 
   generation_ = best.ReadAt<uint64_t>(kSbOffGeneration);
   checkpoint_seq_ = best.ReadAt<uint64_t>(kSbOffCheckpointSeq);
-  epoch_ = best.ReadAt<uint64_t>(kSbOffEpoch);
   next_page_ = best.ReadAt<uint32_t>(kSbOffNextPage);
   clean_shutdown_ = best.ReadAt<uint8_t>(kSbOffClean) != 0;
   if (next_page_ > 0 && file_bytes_ < DataOffset(next_page_)) {
@@ -307,17 +322,30 @@ Status FileDiskManager::OpenImpl(std::string path, FileDiskOptions options) {
 }
 
 // ---------------------------------------------------------------------------
-// FileDiskManager: physical I/O (the fault-injection seam)
+// FileDiskManager: physical I/O (where injected faults strike)
 // ---------------------------------------------------------------------------
 
 Status FileDiskManager::PhysicalWrite(uint64_t offset, const void* data,
                                       size_t len) {
-  PEB_RETURN_NOT_OK(EnsureCapacity(offset + len));
-  std::memcpy(map_ + offset, data, len);
+  const size_t landed =
+      injector_ == nullptr ? len : injector_->DurablePrefix(len);
+  if (landed > 0) {
+    PEB_RETURN_NOT_OK(EnsureCapacity(offset + landed));
+    std::memcpy(map_ + offset, data, landed);
+  }
+  if (landed < len) {
+    return Status::IOError("injected crash: " + std::to_string(landed) +
+                           " of " + std::to_string(len) +
+                           " bytes at offset " + std::to_string(offset) +
+                           " landed");
+  }
   return Status::OK();
 }
 
 Status FileDiskManager::PhysicalSync() {
+  if (injector_ != nullptr && !injector_->OnSync()) {
+    return Status::IOError("injected EIO on sync of " + path_);
+  }
   if (map_ != nullptr && ::msync(map_, mapped_bytes_, MS_SYNC) != 0) {
     return Status::IOError("msync failed for " + path_ + ": " +
                            std::strerror(errno));
@@ -438,13 +466,8 @@ Status FileDiskManager::Write(PageId id, const Page& page) {
 }
 
 // ---------------------------------------------------------------------------
-// FileDiskManager: DurableDiskManager surface
+// FileDiskManager: checkpoint surface
 // ---------------------------------------------------------------------------
-
-Status FileDiskManager::Sync() {
-  PEB_RETURN_NOT_OK(status_);
-  return PhysicalSync();
-}
 
 void FileDiskManager::ForEachDirtyPage(
     const std::function<void(PageId, const Page&)>& fn) const {
@@ -608,7 +631,6 @@ Status FileDiskManager::WriteSuperblock(const std::string& metadata,
   PEB_RETURN_NOT_OK(PhysicalSync());
   generation_ = new_generation;
   checkpoint_seq_ = checkpoint_seq;
-  epoch_ = epoch;
   clean_shutdown_ = clean;
   metadata_ = metadata;
   return Status::OK();

@@ -1,15 +1,15 @@
 // DiskManager: the page-granularity persistence interface under the buffer
-// pool. Three layers:
+// pool, with two implementations:
 //   * InMemoryDiskManager — pages live in RAM; used by the experiment
 //     harness, where "I/O cost" is the count of buffer-pool misses (the
 //     metric the paper reports with a simulated 50-page LRU buffer).
-//   * DurableDiskManager — the extra contract a crash-safe store adds on top
-//     of DiskManager: an atomic Commit() that publishes a checkpoint, an
-//     opaque metadata blob (the engine manifest), and introspection of the
-//     not-yet-committed overlay for WAL page-image capture.
-//   * FileDiskManager — the durable implementation: a real file with dual
+//   * FileDiskManager — the durable page store: a real file with dual
 //     CRC-protected superblocks, mmap'd I/O with ftruncate capacity
-//     doubling, and a persisted free list.
+//     doubling, and a persisted free list. On top of DiskManager it offers
+//     an atomic Commit() that publishes a checkpoint, an opaque metadata
+//     blob (the engine manifest), and introspection of the not-yet-
+//     committed overlay for WAL page-image capture. Its physical writes and
+//     syncs consult an optional FaultInjector (storage/fault_injection.h).
 //
 // Crash-safety model (no-steal): every Write()/Allocate()/Free() between
 // checkpoints lands in an in-RAM overlay; the backing file changes ONLY
@@ -61,6 +61,8 @@
 
 namespace peb {
 
+struct FaultInjector;
+
 /// Abstract page store. Not thread-safe; callers serialize (the buffer pool
 /// funnels all disk traffic through its own disk mutex).
 class DiskManager {
@@ -108,57 +110,6 @@ class InMemoryDiskManager final : public DiskManager {
   std::vector<PageId> free_;
 };
 
-/// The durability contract layered on DiskManager. Between Commit() calls
-/// the store buffers mutations in RAM (the "overlay"); Commit() atomically
-/// folds the overlay plus allocation state plus a caller-supplied metadata
-/// blob into the backing file. A crash between commits loses only the
-/// overlay — the file remains the previous checkpoint.
-class DurableDiskManager : public DiskManager {
- public:
-  /// Non-OK when the backing file could not be opened or the store has hit
-  /// an unrecoverable I/O error.
-  virtual Status status() const = 0;
-
-  /// Durably flushes previously committed bytes to stable storage.
-  virtual Status Sync() = 0;
-
-  /// Atomically publishes the overlay + allocation state + `metadata` as the
-  /// new checkpoint. `checkpoint_seq` records the WAL sequence folded in;
-  /// `epoch` is the encoding epoch; `clean` marks an orderly shutdown.
-  virtual Status Commit(const std::string& metadata, uint64_t checkpoint_seq,
-                        uint64_t epoch, bool clean) = 0;
-
-  /// Metadata blob from the last Commit (or the superblock, after reopen).
-  virtual const std::string& metadata() const = 0;
-
-  /// WAL sequence number of the last commit.
-  virtual uint64_t checkpoint_seq() const = 0;
-
-  /// Encoding epoch recorded by the last commit.
-  virtual uint64_t epoch() const = 0;
-
-  /// True when the last commit marked an orderly shutdown.
-  virtual bool clean_shutdown() const = 0;
-
-  /// Number of overlay pages dirty since the last commit.
-  virtual size_t dirty_page_count() const = 0;
-
-  /// Visits every overlay page (ascending PageId). The visited pages are
-  /// exactly what the next Commit() will write to the file; the engine
-  /// journals them as WAL page images before committing.
-  virtual void ForEachDirtyPage(
-      const std::function<void(PageId, const Page&)>& fn) const = 0;
-
-  /// Snapshot of the current free list (for WAL checkpoint records).
-  virtual std::vector<PageId> FreeList() const = 0;
-
-  /// Overwrites the allocation state (next-page watermark + free list) —
-  /// recovery uses this to adopt the state recorded by an in-WAL checkpoint
-  /// that never reached the superblock.
-  virtual Status RestoreAllocationState(PageId next_page,
-                                        const std::vector<PageId>& free_list) = 0;
-};
-
 struct FileDiskOptions {
   /// Allow create-mode construction to truncate a path that already holds a
   /// valid database. Off (the default) fails creation instead: reopening a
@@ -168,28 +119,37 @@ struct FileDiskOptions {
 };
 
 /// File-backed durable page store. See the file-format comment at the top of
-/// this header. Subclassable via the PhysicalWrite/PhysicalSync seam
-/// (FaultInjectingDiskManager); all other methods are the production path.
-class FileDiskManager : public DurableDiskManager {
+/// this header. Between Commit() calls the store buffers mutations in RAM
+/// (the "overlay"); Commit() atomically folds the overlay plus allocation
+/// state plus a caller-supplied metadata blob into the backing file. A crash
+/// between commits loses only the overlay — the file remains the previous
+/// checkpoint.
+class FileDiskManager final : public DiskManager {
  public:
-  /// Creates `path` and writes an empty generation-1 checkpoint. Refuses a
-  /// path that already holds a valid database unless
-  /// FileDiskOptions::overwrite_existing is set. Check `status()` before
-  /// use.
-  explicit FileDiskManager(std::string path, FileDiskOptions options = {});
+  /// Creates `path`, writes an empty generation-1 checkpoint and fsyncs the
+  /// parent directory, so the new file's directory entry is durable too.
+  /// Refuses a path that already holds a valid database unless
+  /// FileDiskOptions::overwrite_existing is set. `injector` (optional)
+  /// makes physical writes and syncs crash on cue, from the creation write
+  /// on. Check `status()` before use.
+  explicit FileDiskManager(std::string path, FileDiskOptions options = {},
+                           FaultInjector* injector = nullptr);
   ~FileDiskManager() override;
 
   /// Opens an existing database file: validates both superblock slots,
   /// adopts the highest valid generation, and restores the next-page
-  /// watermark, free list (inline + overflow chain), metadata blob, epoch,
-  /// and clean-shutdown flag.
+  /// watermark, free list (inline + overflow chain), metadata blob, and
+  /// clean-shutdown flag. `injector` is active from the first recovery
+  /// write on (double-crash tests crash during recovery's own checkpoint).
   static Result<std::unique_ptr<FileDiskManager>> OpenExisting(
-      std::string path, FileDiskOptions options = {});
+      std::string path, FaultInjector* injector = nullptr);
 
   FileDiskManager(const FileDiskManager&) = delete;
   FileDiskManager& operator=(const FileDiskManager&) = delete;
 
-  Status status() const override { return status_; }
+  /// Non-OK when the backing file could not be opened or the store has hit
+  /// an unrecoverable I/O error.
+  Status status() const { return status_; }
 
   // DiskManager. Reads consult the overlay first, then the committed file;
   // writes/allocates/frees touch only the overlay + RAM allocation state.
@@ -200,44 +160,56 @@ class FileDiskManager : public DurableDiskManager {
   PageId capacity() const override { return next_page_; }
   size_t live_pages() const override { return next_page_ - free_.size(); }
 
-  // DurableDiskManager.
-  Status Sync() override;
+  /// Atomically publishes the overlay + allocation state + `metadata` as the
+  /// new checkpoint. `checkpoint_seq` records the WAL sequence folded in;
+  /// `epoch` is the encoding epoch; `clean` marks an orderly shutdown.
   Status Commit(const std::string& metadata, uint64_t checkpoint_seq,
-                uint64_t epoch, bool clean) override;
-  const std::string& metadata() const override { return metadata_; }
-  uint64_t checkpoint_seq() const override { return checkpoint_seq_; }
-  uint64_t epoch() const override { return epoch_; }
-  bool clean_shutdown() const override { return clean_shutdown_; }
-  size_t dirty_page_count() const override { return overlay_.size(); }
-  void ForEachDirtyPage(
-      const std::function<void(PageId, const Page&)>& fn) const override;
-  std::vector<PageId> FreeList() const override;
-  Status RestoreAllocationState(
-      PageId next_page, const std::vector<PageId>& free_list) override;
+                uint64_t epoch, bool clean);
 
- protected:
-  /// For subclasses (fault injection, OpenExisting): construct empty, then
-  /// CreateNew() or OpenImpl(). Virtual dispatch to the PhysicalWrite
-  /// override is live by the time either runs.
-  FileDiskManager() = default;
+  /// Metadata blob from the last Commit (or the superblock, after reopen).
+  const std::string& metadata() const { return metadata_; }
+
+  /// WAL sequence number of the last commit.
+  uint64_t checkpoint_seq() const { return checkpoint_seq_; }
+
+  /// True when the last commit marked an orderly shutdown.
+  bool clean_shutdown() const { return clean_shutdown_; }
+
+  /// Number of overlay pages dirty since the last commit.
+  size_t dirty_page_count() const { return overlay_.size(); }
+
+  /// Visits every overlay page (ascending PageId). The visited pages are
+  /// exactly what the next Commit() will write to the file; the engine
+  /// journals them as WAL page images before committing.
+  void ForEachDirtyPage(
+      const std::function<void(PageId, const Page&)>& fn) const;
+
+  /// Snapshot of the current free list (for WAL checkpoint records).
+  std::vector<PageId> FreeList() const;
+
+  /// Overwrites the allocation state (next-page watermark + free list) —
+  /// recovery uses this to adopt the state recorded by an in-WAL checkpoint
+  /// that never reached the superblock.
+  Status RestoreAllocationState(PageId next_page,
+                                const std::vector<PageId>& free_list);
+
+ private:
+  /// OpenExisting's empty store; OpenImpl() then reads the file.
+  explicit FileDiskManager(FaultInjector* injector) : injector_(injector) {}
+
+  /// Open-mode initialization: reads and validates the superblocks.
+  Status OpenImpl(std::string path);
+
+  Status CheckLive(PageId id) const;
 
   /// Writes `len` bytes at byte `offset` of the backing file. All durable
   /// bytes — data pages, free-list overflow pages, superblocks — funnel
-  /// through here, which is the fault-injection seam.
-  virtual Status PhysicalWrite(uint64_t offset, const void* data, size_t len);
+  /// through here, and so does every injected write crash.
+  Status PhysicalWrite(uint64_t offset, const void* data, size_t len);
 
-  /// Durably flushes the backing file (msync + fsync).
-  virtual Status PhysicalSync();
-
-  /// Create-mode initialization: truncates the file and commits an empty
-  /// generation-1 checkpoint. Sets status_ on failure.
-  void CreateNew(std::string path, FileDiskOptions options);
-
-  /// Open-mode initialization: reads and validates the superblocks.
-  Status OpenImpl(std::string path, FileDiskOptions options);
-
- private:
-  Status CheckLive(PageId id) const;
+  /// Durably flushes the backing file (msync + fsync), or fails it with an
+  /// injected EIO.
+  Status PhysicalSync();
 
   /// Reads `len` bytes at byte `offset`; reading past the end of the file
   /// is an IOError.
@@ -251,7 +223,7 @@ class FileDiskManager : public DurableDiskManager {
                          uint64_t epoch, bool clean);
 
   std::string path_;
-  FileDiskOptions options_;
+  FaultInjector* const injector_;
   int fd_ = -1;
   Status status_;
 
@@ -277,10 +249,18 @@ class FileDiskManager : public DurableDiskManager {
   // Committed-checkpoint state.
   uint64_t generation_ = 0;
   uint64_t checkpoint_seq_ = 0;
-  uint64_t epoch_ = 0;
   bool clean_shutdown_ = false;
   std::string metadata_;
   PageId base_pages_ = 0;  ///< next_page_ at the last commit (file contents).
 };
+
+/// The durable page store's former interface name, kept as an alias for
+/// code that still spells it (the e2e benchmark).
+using DurableDiskManager = FileDiskManager;
+
+/// Fsyncs the directory holding `path`, so a file just created there keeps
+/// its directory entry across a power cut. IOError on failure. Consults no
+/// FaultInjector: it is not one of the counted durable writes.
+Status SyncParentDirectory(const std::string& path);
 
 }  // namespace peb

@@ -1,11 +1,11 @@
 // Fault injection for the durable storage stack. A FaultInjector is a small
-// shared failpoint switchboard; FileDiskManager (via its PhysicalWrite /
-// PhysicalSync virtual seams, see FaultInjectingDiskManager) and
-// WriteAheadLog both consult the same injector, so "crash after N durable
-// writes" counts every byte range headed for disk — WAL appends, checkpoint
-// page writes, and superblock commits alike. That is what lets the crash-
-// recovery tests kill the engine at an arbitrary point mid-batch and then
-// prove the reopened state bit-matches a never-crashed oracle.
+// shared failpoint switchboard; FileDiskManager (at its physical write and
+// sync) and WriteAheadLog (at its append, sync and truncate) both consult
+// the same injector, so "crash after N durable writes" counts every byte
+// range headed for disk — WAL appends, checkpoint page writes, and
+// superblock commits alike. That is what lets the crash-recovery tests kill
+// the engine at an arbitrary point mid-batch and then prove the reopened
+// state bit-matches a never-crashed oracle.
 //
 // Failpoints:
 //   * writes_until_crash — allow N durable writes, then fail the (N+1)th and
@@ -22,9 +22,8 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-
-#include "storage/disk_manager.h"
 
 namespace peb {
 
@@ -43,26 +42,18 @@ struct FaultInjector {
   /// Latched once any failpoint fires; all later durable ops fail.
   std::atomic<bool> crashed{false};
 
-  enum class WriteVerdict {
-    kProceed,    ///< Let the write through untouched.
-    kCrashDrop,  ///< Fail the write; nothing reaches the disk.
-    kCrashTorn,  ///< Persist a prefix of the write, then fail it.
-  };
-
-  WriteVerdict OnDurableWrite() {
-    if (crashed.load(std::memory_order_acquire)) {
-      return WriteVerdict::kCrashDrop;
-    }
-    if (writes_until_crash.load(std::memory_order_relaxed) < 0) {
-      return WriteVerdict::kProceed;
-    }
+  /// Counts one durable write of `len` bytes and returns how many of its
+  /// leading bytes reach the disk: all of them, none (the crash drops the
+  /// write) or half (a torn write). The caller persists that prefix and
+  /// fails the write when it is short.
+  size_t DurablePrefix(size_t len) {
+    if (crashed.load(std::memory_order_acquire)) return 0;
+    if (writes_until_crash.load(std::memory_order_relaxed) < 0) return len;
     if (writes_until_crash.fetch_sub(1, std::memory_order_acq_rel) > 0) {
-      return WriteVerdict::kProceed;
+      return len;
     }
     crashed.store(true, std::memory_order_release);
-    return torn_on_crash.load(std::memory_order_relaxed)
-               ? WriteVerdict::kCrashTorn
-               : WriteVerdict::kCrashDrop;
+    return torn_on_crash.load(std::memory_order_relaxed) ? len / 2 : 0;
   }
 
   /// Returns false if the sync must fail.
@@ -83,34 +74,6 @@ struct FaultInjector {
     fail_sync.store(false, std::memory_order_relaxed);
     crashed.store(false, std::memory_order_release);
   }
-};
-
-/// A FileDiskManager whose physical I/O consults a FaultInjector. Everything
-/// above the PhysicalWrite/PhysicalSync seam — overlay semantics, superblock
-/// commits, free-list persistence — is the production code path, which is the
-/// point: the tests exercise the real commit protocol, only the disk lies.
-class FaultInjectingDiskManager final : public FileDiskManager {
- public:
-  /// Creates or truncates `path`. Check `status()` before use.
-  FaultInjectingDiskManager(std::string path, FaultInjector* injector,
-                            FileDiskOptions options = {});
-
-  /// Opens an existing database file, with injection active from the first
-  /// recovery write onward (double-crash tests crash during recovery's own
-  /// checkpoint).
-  static Result<std::unique_ptr<FaultInjectingDiskManager>> OpenExisting(
-      std::string path, FaultInjector* injector, FileDiskOptions options = {});
-
- protected:
-  Status PhysicalWrite(uint64_t offset, const void* data,
-                       size_t len) override;
-  Status PhysicalSync() override;
-
- private:
-  explicit FaultInjectingDiskManager(FaultInjector* injector)
-      : injector_(injector) {}
-
-  FaultInjector* injector_;
 };
 
 }  // namespace peb

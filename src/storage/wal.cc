@@ -1,11 +1,13 @@
 #include "storage/wal.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 
 #include "common/crc32.h"
+#include "storage/disk_manager.h"
 #include "storage/fault_injection.h"
 
 namespace peb {
@@ -25,33 +27,58 @@ uint32_t FrameCrc(const WalRecord& record) {
   return Crc32Extend(crc, record.payload.data(), record.payload.size());
 }
 
-}  // namespace
+/// IOError for the system call that just failed, read off errno.
+Status IOErrorFor(const std::string& what, const std::string& path) {
+  const int err = errno;
+  return Status::IOError(what + " failed for WAL " + path + ": " +
+                         std::strerror(err));
+}
 
-Status WriteAheadLog::CheckOpen() const {
-  // file_ goes null when a failed freopen in Truncate() closed the stream.
-  // The engine's durability latch normally keeps callers away afterwards,
-  // but fwrite/fileno on a null FILE* is UB, so the log defends itself.
-  if (file_ == nullptr) {
-    return Status::IOError("WAL " + path_ +
-                           " is closed (a previous truncate failed)");
+/// Writes all `len` bytes, retrying interrupted and short writes.
+Status WriteFully(int fd, const char* data, size_t len,
+                  const std::string& path) {
+  while (len > 0) {
+    const ssize_t n = ::write(fd, data, len);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return IOErrorFor("append", path);
+    data += n;
+    len -= static_cast<size_t>(n);
   }
   return Status::OK();
 }
 
+/// Reads up to `len` bytes, retrying interrupted and short reads; fewer
+/// than `len` arrive only at the end of the file.
+Result<size_t> ReadFully(int fd, char* data, size_t len,
+                         const std::string& path) {
+  size_t got = 0;
+  while (got < len) {
+    const ssize_t n = ::read(fd, data + got, len - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return IOErrorFor("read", path);
+    if (n == 0) break;
+    got += static_cast<size_t>(n);
+  }
+  return got;
+}
+
+}  // namespace
+
 Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     std::string path, FaultInjector* injector) {
-  std::FILE* file = std::fopen(path.c_str(), "ab");
-  if (file == nullptr) {
+  const int fd =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0666);
+  if (fd < 0) {
     return Status::IOError("cannot open WAL " + path + ": " +
                            std::strerror(errno));
   }
-  return std::unique_ptr<WriteAheadLog>(
-      new WriteAheadLog(std::move(path), file, injector));
+  auto wal = std::unique_ptr<WriteAheadLog>(
+      new WriteAheadLog(std::move(path), fd, injector));
+  PEB_RETURN_NOT_OK(SyncParentDirectory(wal->path_));
+  return wal;
 }
 
-WriteAheadLog::~WriteAheadLog() {
-  if (file_ != nullptr) std::fclose(file_);
-}
+WriteAheadLog::~WriteAheadLog() { ::close(fd_); }
 
 Status WriteAheadLog::Append(const WalRecord& record) {
   if (record.payload.size() > kMaxPayloadBytes) {
@@ -71,81 +98,54 @@ Status WriteAheadLog::Append(const WalRecord& record) {
   put(&record.type, sizeof(record.type));
   frame.append(record.payload);
 
-  PEB_RETURN_NOT_OK(CheckOpen());
-  if (injector_ != nullptr) {
-    switch (injector_->OnDurableWrite()) {
-      case FaultInjector::WriteVerdict::kProceed:
-        break;
-      case FaultInjector::WriteVerdict::kCrashDrop:
-        return Status::IOError("injected crash: WAL append dropped");
-      case FaultInjector::WriteVerdict::kCrashTorn: {
-        // Persist (and even flush) a prefix: this is the torn tail that
-        // ReadAll's CRC check must reject on recovery.
-        const size_t torn = frame.size() / 2;
-        if (torn > 0) {
-          (void)std::fwrite(frame.data(), 1, torn, file_);
-          (void)std::fflush(file_);
-        }
-        return Status::IOError("injected crash: torn WAL append (" +
-                               std::to_string(torn) + " of " +
-                               std::to_string(frame.size()) + " bytes)");
-      }
-    }
-  }
-  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
-    return Status::IOError("WAL append failed for " + path_ + ": " +
-                           std::strerror(errno));
+  // An injected crash lets only a prefix through: none of the frame, or
+  // half of it — the torn tail that ReadAll's CRC check must reject.
+  const size_t landed = injector_ == nullptr
+                            ? frame.size()
+                            : injector_->DurablePrefix(frame.size());
+  PEB_RETURN_NOT_OK(WriteFully(fd_, frame.data(), landed, path_));
+  if (landed < frame.size()) {
+    return Status::IOError("injected crash: " + std::to_string(landed) +
+                           " of " + std::to_string(frame.size()) +
+                           " bytes of a WAL append landed");
   }
   return Status::OK();
 }
 
 Status WriteAheadLog::Sync() {
-  PEB_RETURN_NOT_OK(CheckOpen());
   if (injector_ != nullptr && !injector_->OnSync()) {
     return Status::IOError("injected EIO on WAL sync");
   }
-  if (std::fflush(file_) != 0) {
-    return Status::IOError("WAL fflush failed for " + path_ + ": " +
-                           std::strerror(errno));
-  }
-  if (::fsync(::fileno(file_)) != 0) {
-    return Status::IOError("WAL fsync failed for " + path_ + ": " +
-                           std::strerror(errno));
-  }
+  if (::fdatasync(fd_) != 0) return IOErrorFor("fdatasync", path_);
   return Status::OK();
 }
 
 Status WriteAheadLog::Truncate() {
-  PEB_RETURN_NOT_OK(CheckOpen());
   if (injector_ != nullptr && !injector_->OnSync()) {
     return Status::IOError("injected EIO on WAL truncate");
   }
-  std::FILE* reopened = std::freopen(path_.c_str(), "wb", file_);
-  if (reopened == nullptr) {
-    file_ = nullptr;  // freopen failure closes the old stream.
-    return Status::IOError("WAL truncate failed for " + path_ + ": " +
-                           std::strerror(errno));
-  }
-  file_ = reopened;
-  if (std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0) {
-    return Status::IOError("WAL truncate sync failed for " + path_ + ": " +
-                           std::strerror(errno));
-  }
+  // O_APPEND then writes the next record at offset 0.
+  if (::ftruncate(fd_, 0) != 0) return IOErrorFor("truncate", path_);
+  if (::fsync(fd_) != 0) return IOErrorFor("truncate sync", path_);
   return Status::OK();
 }
 
 Result<std::vector<WalRecord>> WriteAheadLog::ReadAll(
     const std::string& path) {
   std::vector<WalRecord> records;
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     if (errno == ENOENT) return records;  // No log: nothing to replay.
     return Status::IOError("cannot open WAL " + path + ": " +
                            std::strerror(errno));
   }
+  // Frame by frame: only one payload is ever read beyond the records kept.
+  Status st;
   for (;;) {
-    unsigned char header[kFrameHeaderBytes];
-    if (std::fread(header, 1, sizeof(header), file) != sizeof(header)) {
+    char header[kFrameHeaderBytes];
+    Result<size_t> got = ReadFully(fd, header, sizeof(header), path);
+    if (!got.ok()) st = got.status();
+    if (!got.ok() || *got != sizeof(header)) {
       break;  // Clean end of log, or a torn frame header: stop either way.
     }
     uint32_t len, crc;
@@ -156,13 +156,14 @@ Result<std::vector<WalRecord>> WriteAheadLog::ReadAll(
     std::memcpy(&record.type, header + 16, sizeof(record.type));
     if (len > kMaxPayloadBytes) break;  // Garbage length: corrupt tail.
     record.payload.resize(len);
-    if (len > 0 && std::fread(record.payload.data(), 1, len, file) != len) {
-      break;  // Torn payload.
-    }
+    got = ReadFully(fd, record.payload.data(), len, path);
+    if (!got.ok()) st = got.status();
+    if (!got.ok() || *got != len) break;  // Torn payload.
     if (FrameCrc(record) != crc) break;  // Bit rot or torn rewrite.
     records.push_back(std::move(record));
   }
-  std::fclose(file);
+  ::close(fd);
+  PEB_RETURN_NOT_OK(st);
   return records;
 }
 

@@ -13,10 +13,14 @@
 //
 // Record *types* are opaque bytes at this layer; the engine defines them
 // (src/engine/engine_wal.h).
+//
+// The log is a plain file descriptor, like the page store: appends are
+// write(2) calls on an O_APPEND descriptor, Sync() is fdatasync, and
+// Truncate() is ftruncate + fsync. Appends, syncs and truncations consult
+// the same optional FaultInjector as the page store's physical writes.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,9 +44,10 @@ struct WalRecord {
 /// buffer pool's disk mutex.
 class WriteAheadLog {
  public:
-  /// Opens `path` for appending, creating it if absent. Existing contents
-  /// are preserved (recovery reads them first, then keeps appending).
-  /// `injector` (optional) makes appends and syncs crash on cue.
+  /// Opens `path` for appending, creating it if absent, and fsyncs the
+  /// parent directory so a new log's directory entry is durable. Existing
+  /// contents are preserved (recovery reads them first, then keeps
+  /// appending). `injector` (optional) makes appends and syncs crash on cue.
   static Result<std::unique_ptr<WriteAheadLog>> Open(
       std::string path, FaultInjector* injector = nullptr);
 
@@ -51,34 +56,29 @@ class WriteAheadLog {
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
-  /// Appends one framed record (buffered; not yet durable — call Sync()).
+  /// Writes one framed record to the end of the file (not yet durable —
+  /// call Sync()).
   Status Append(const WalRecord& record);
 
-  /// Durably flushes all appended records.
+  /// Durably flushes all appended records (fdatasync).
   Status Sync();
 
   /// Empties the log (checkpoint: everything before this is folded into the
   /// database file) and syncs the truncation.
   Status Truncate();
 
-  /// Reads the valid prefix of the log at `path`: stops silently at a torn
-  /// or checksum-failing tail. A missing file yields an empty vector (a
-  /// clean shutdown truncates the log to nothing).
+  /// Reads the valid prefix of the log at `path`, one frame at a time:
+  /// stops silently at a torn or checksum-failing tail. A missing file
+  /// yields an empty vector (a clean shutdown truncates the log to
+  /// nothing); a failing read is IOError.
   static Result<std::vector<WalRecord>> ReadAll(const std::string& path);
 
-  const std::string& path() const { return path_; }
-
  private:
-  WriteAheadLog(std::string path, std::FILE* file, FaultInjector* injector)
-      : path_(std::move(path)), file_(file), injector_(injector) {}
-
-  /// IOError when the stream is closed (a failed Truncate() nulled file_):
-  /// Append/Sync/Truncate must fail cleanly instead of handing a null
-  /// FILE* to stdio.
-  Status CheckOpen() const;
+  WriteAheadLog(std::string path, int fd, FaultInjector* injector)
+      : path_(std::move(path)), fd_(fd), injector_(injector) {}
 
   const std::string path_;
-  std::FILE* file_ = nullptr;
+  const int fd_;
   FaultInjector* const injector_;
 };
 

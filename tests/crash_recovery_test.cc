@@ -10,8 +10,12 @@
 // On failure, TearDown copies the database/WAL and writes hexdumps of the
 // superblocks and the log into crash-recovery-artifacts/ for CI upload.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -427,9 +431,106 @@ TEST_F(CrashRecoveryTest, EioOnWalSync) {
   ExpectEquivalent(**reopened, *oracle, QueryTime(durable));
 }
 
+// A full disk as the kernel reports it. A forked child caps its file size
+// (RLIMIT_FSIZE, with SIGXFSZ ignored), so the WAL append that would grow
+// the log past the cap fails in write(2) with EFBIG. The child must poison
+// its engine at that first failure and refuse the next batch; a reopen must
+// then hold exactly the batches the child acknowledged.
+TEST_F(CrashRecoveryTest, FullDiskPoisonsAndKeepsAcknowledgedBatches) {
+  int acks[2];
+  ASSERT_EQ(::pipe(acks), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // The exit code names the first broken expectation; _exit runs no
+    // destructor, so the engine dies without a close checkpoint.
+    ::close(acks[0]);
+    ShardedPebEngine engine(DurableOptions(nullptr, /*checkpoint_on_close=*/
+                                           false),
+                            &world_->store(), &world_->roles(),
+                            world_->catalog()->snapshot());
+    if (!engine.LoadDataset(world_->dataset()).ok()) ::_exit(2);
+    const rlimit cap{8 << 10, 8 << 10};
+    if (::signal(SIGXFSZ, SIG_IGN) == SIG_ERR ||
+        ::setrlimit(RLIMIT_FSIZE, &cap) != 0) {
+      ::_exit(3);
+    }
+    for (const auto& batch : *batches_) {
+      if (!engine.ApplyBatch(batch).ok()) {
+        if (engine.durability_status().ok()) ::_exit(5);
+        if (engine.ApplyBatch(batch).ok()) ::_exit(6);
+        ::_exit(0);
+      }
+      const char ack = 1;
+      if (::write(acks[1], &ack, 1) != 1) ::_exit(7);
+    }
+    ::_exit(4);  // The cap never bit.
+  }
+  ::close(acks[1]);
+  size_t acked = 0;
+  char ack = 0;
+  while (::read(acks[0], &ack, 1) == 1) ++acked;
+  ::close(acks[0]);
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
+  ASSERT_TRUE(WIFEXITED(wstatus)) << "child status " << wstatus;
+  ASSERT_EQ(WEXITSTATUS(wstatus), 0) << "child exit code";
+  EXPECT_GT(acked, 0u);
+  EXPECT_LT(acked, batches_->size());
+  auto reopened = Reopen();
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  auto oracle = BuildOracle(acked);
+  ExpectEquivalent(**reopened, *oracle, QueryTime(acked));
+}
+
 // ---------------------------------------------------------------------------
 // Recovery edge cases
 // ---------------------------------------------------------------------------
+
+// A kEvents record replays as the one batch it was published as: each op is
+// checked and tagged against the presence the record's earlier ops leave.
+// The record below re-inserts a deleted user, moves them and deletes
+// another user.
+TEST_F(CrashRecoveryTest, MixedEventsRecordReplaysAsOneBatch) {
+  const std::vector<MovingObject>& objects = world_->dataset().objects;
+  const MovingObject x = objects[10];
+  const MovingObject y = objects[20];
+  {
+    auto engine = std::make_unique<ShardedPebEngine>(
+        DurableOptions(nullptr, /*checkpoint_on_close=*/false),
+        &world_->store(), &world_->roles(), world_->catalog()->snapshot());
+    ASSERT_TRUE(engine->LoadDataset(world_->dataset()).ok());
+    ASSERT_TRUE(engine->Delete(x.id).ok());
+  }  // No close checkpoint: the delete lives only in the WAL.
+  const std::string wal_path = path_ + ".wal";
+  auto records = WriteAheadLog::ReadAll(wal_path);
+  ASSERT_TRUE(records.ok()) << records.status();
+  ASSERT_FALSE(records->empty());
+  MovingObject moved = x;
+  moved.pos.x += 7.0;
+  moved.pos.y -= 3.0;
+  WalRecord mixed;
+  mixed.seq = records->back().seq + 1;
+  mixed.type = engine_wal::kEvents;
+  mixed.payload = engine_wal::EncodeEvents(
+      {{engine_wal::LoggedOp::kInsert, x},
+       {engine_wal::LoggedOp::kUpdate, moved},
+       {engine_wal::LoggedOp::kDelete, y}});
+  {
+    auto wal = WriteAheadLog::Open(wal_path);
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    ASSERT_TRUE((*wal)->Append(mixed).ok());
+    ASSERT_TRUE((*wal)->Sync().ok());
+  }
+  auto reopened = Reopen();
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ((*reopened)->size(), objects.size() - 1);
+  auto got = (*reopened)->GetObject(x.id);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got->pos.x, moved.pos.x);
+  EXPECT_EQ(got->pos.y, moved.pos.y);
+  EXPECT_TRUE((*reopened)->GetObject(y.id).status().IsNotFound());
+}
 
 TEST_F(CrashRecoveryTest, CleanShutdownEmptyWalReopens) {
   {
@@ -933,7 +1034,7 @@ TEST(EngineWalDecode, CheckpointFreeListCountBeyondPayloadIsCorruption) {
   payload += std::string(4, '\xff');  // Free-list count.
   EXPECT_TRUE(engine_wal::DecodeCheckpoint(payload, &record).IsCorruption());
   record.free_list = {3, 5};
-  record.manifest = "m";
+  record.manifest = std::string(1, 'm');
   payload = engine_wal::EncodeCheckpoint(record);
   ASSERT_TRUE(engine_wal::DecodeCheckpoint(payload, &record).ok());
   EXPECT_EQ(record.free_list, (std::vector<PageId>{3, 5}));

@@ -200,7 +200,7 @@ TEST(FileDiskManagerTest, CrashBetweenSpillWriteAndSuperblockKeepsOldChain) {
   constexpr size_t kPages = 1200;
   constexpr size_t kFreed = 1100;
   {
-    FaultInjectingDiskManager disk(path, &injector);
+    FileDiskManager disk(path, {}, &injector);
     ASSERT_TRUE(disk.status().ok()) << disk.status();
     std::vector<PageId> ids;
     for (size_t i = 0; i < kPages; ++i) {

@@ -221,7 +221,9 @@ telemetry::QueryTrace NamedTrace(const std::string& name) {
 TEST(TelemetrySlowLog, RingEvictsOldestFirst) {
   telemetry::SlowQueryLog log(3);
   for (int i = 0; i < 5; ++i) {
-    log.Record(NamedTrace("q" + std::to_string(i)), 10.0 + i);
+    std::string name = "q";
+    name += std::to_string(i);
+    log.Record(NamedTrace(name), 10.0 + i);
   }
   auto entries = log.Entries();
   ASSERT_EQ(entries.size(), 3u);
